@@ -610,27 +610,39 @@ def is_jpeg(data: bytes) -> bool:
 # N's bit position depends on symbols 0..N-1. But restart intervals (and
 # independent images) are sequential only WITHIN themselves — so decode
 # a whole batch by running every restart segment of every image as one
-# LANE of a lockstep machine: each iteration decodes exactly one Huffman
-# symbol for every still-active lane with ~30 vectorized numpy ops
-# (gather a 32-bit window per lane, one 16-bit-LUT lookup, vectorized
-# EXTEND, scatter the coefficient). Iteration count = max symbols per
-# segment, independent of batch size — so the per-image cost collapses
-# as the batch widens. This is the decode shape a 100 TB image corpus
-# needs inside map_batches: the scalar decoder pays Python per SYMBOL
-# PER IMAGE; this pays Python per symbol per BATCH.
-
-_OFF5 = np.arange(5, dtype=np.int64)
+# LANE of a lockstep machine. A lane's state is its bit position and its
+# coefficient slot (block * 64 + k). Each spin decodes exactly one
+# Huffman symbol for every live lane:
+#   1. one 1-D gather of the lane's 64-bit window (built once per batch
+#      for every 4-byte offset of the payload), shifted to its bit phase;
+#   2. one gather of the packed table entry, indexed by the Huffman table
+#      of the lane's slot (DC at k = 0, AC after) and the window's top 16
+#      bits — the entry holds the bits consumed, amplitude size, write
+#      offset and slot advance;
+#   3. EXTEND of the amplitude: a 16-entry mask table by size, then one
+#      lookup in a table indexed by mask + amplitude bits;
+#   4. one scatter of DC differences and AC values together (a lane that
+#      overran its segment or left its block writes to a dummy slot);
+#   5. the slot advance k ← k + run + 1, clamped at the block end (ZRL
+#      advances 16, EOB jumps to the next block), then lanes that
+#      finished or failed leave the dense live-lane arrays.
+# DC predictors are applied after the loop as one segmented cumsum.
+# Iteration count = max symbols per segment, independent of batch size —
+# so the per-image cost collapses as the batch widens. This is the decode
+# shape a 100 TB image corpus needs inside map_batches: the scalar decoder
+# pays Python per SYMBOL PER IMAGE; this pays Python per symbol per BATCH.
 
 # Grow-only per-process scratch arena for decode_batch's large transient
-# arrays (coefficients, dequant, IDCT temporaries). Without it every call
-# mallocs tens of MB that glibc mmap-returns to the OS on free, so the
-# NEXT call faults fresh pages — on hosts whose first-touch page rate
-# collapses (BASELINE.md pathology) that dominates decode wall time by
-# >10×, and even on healthy hosts it wastes a page-zeroing pass per call.
-# Long-lived Ray workers call decode_batch repeatedly with similar batch
-# shapes, so buffers converge and stay warm. Peak size is bounded by the
-# caller's batch size (EngineConfig.decode_batch_size). Not thread-safe —
-# Ray workers run one task at a time; call from one thread per process.
+# arrays (coefficients, bit windows, dequant, IDCT temporaries). Without
+# it every call mallocs tens of MB that glibc mmap-returns to the OS on
+# free, so the NEXT call faults fresh pages — on hosts whose first-touch
+# page rate collapses (BASELINE.md pathology) that dominates decode wall
+# time by >10×, and even on healthy hosts it wastes a page-zeroing pass
+# per call. Long-lived Ray workers call decode_batch repeatedly with
+# similar batch shapes, so buffers converge and stay warm. Peak size is
+# bounded by the caller's batch size (EngineConfig.decode_batch_size).
+# Not thread-safe — Ray workers run one task at a time; call from one
+# thread per process.
 _SCRATCH: dict = {}
 
 
@@ -647,89 +659,92 @@ def _scratch(name: str, shape, dtype) -> np.ndarray:
     return buf[:n].reshape(shape)
 
 
-def decode_scratch_clear() -> None:
-    """Release the decode scratch arena (e.g. between corpora of very
-    different image sizes)."""
-    _SCRATCH.clear()
+# Packed Huffman entry (int64): bits consumed (code + amplitude) in bits
+# 0-4, amplitude size in 5-8, write offset from the lane's slot in 9-15,
+# slot advance from 16. An invalid prefix writes one block ahead, which
+# the loop's block-crossing check turns into a lane failure.
+_E_SIZE = 5
+_E_WOFF = 9
+_E_ADV = 16
+_E_INVALID = 64 << _E_WOFF
+# EXTEND (spec F.2.2.1) of the size-s amplitude v is _EXTEND[mask + v]
+# with mask = 2^s - 1: v < 2^(s-1) → v - mask, else v (s = 0 → 0). Every
+# value fits int16, so the loop scatters int16.
+_AMP_MASK = (np.int64(1) << np.arange(16, dtype=np.int64)) - 1
+_EXTEND = np.concatenate([
+    np.where(v < (m + 1) >> 1, v - m, v)
+    for m, v in ((int(m), np.arange(int(m) + 1)) for m in _AMP_MASK)
+]).astype(np.int16)
+_U48 = np.uint64(48)
 
 
-def _build_lut16(bits, vals):
-    """(val16, len16): a 16-bit-window Huffman decode table (len 0 =
-    invalid prefix). 16 is the spec's maximum code length, so one
-    lookup always resolves a full code. int64 entries keep the hot
-    lockstep loop cast-free."""
-    val16 = np.zeros(1 << 16, dtype=np.int64)
-    len16 = np.zeros(1 << 16, dtype=np.int64)
-    code = 0
-    k = 0
-    for ln in range(1, 17):
-        for _ in range(bits[ln - 1]):
-            lo = code << (16 - ln)
-            hi = (code + 1) << (16 - ln)
-            val16[lo:hi] = vals[k]
-            len16[lo:hi] = ln
-            code += 1
-            k += 1
-        code <<= 1
-    return val16, len16
+def _build_packed(cls: int, bits, vals) -> np.ndarray:
+    """Packed 16-bit-window decode table for one DHT spec (class 0 = DC,
+    1 = AC). 16 is the spec's maximum code length, so one lookup always
+    resolves a full code. A DC entry writes its difference at the slot
+    and advances 1; an AC entry writes at slot + run and advances
+    run + 1 (ZRL writes a zero at the slot and advances 16); EOB writes
+    a zero at the slot and advances 64, i.e. to the next block once
+    clamped at the block end. Canonical codes tile the window space in
+    code order, a length-l code covering 2^(16-l) windows."""
+    ln = np.repeat(np.arange(1, 17, dtype=np.int64), bits)
+    if len(vals) < ln.size:
+        raise ValueError("DHT lists fewer values than codes")
+    v = np.asarray(vals[:ln.size], dtype=np.int64)
+    if cls == 0:
+        s, woff, adv = v, 0, 1
+    else:
+        r, s = v >> 4, v & 0xF
+        woff = np.where(s > 0, r, 0)
+        adv = np.where(s > 0, r + 1, np.where(r == 15, 16, 64))
+    ent = np.where(s < 16,  # a DC size ≥ 16 has no 8-bit meaning: invalid
+                   (ln + s) | (s << _E_SIZE) | (woff << _E_WOFF)
+                   | (adv << _E_ADV), _E_INVALID)
+    tab = np.full(1 << 16, _E_INVALID, dtype=np.int64)
+    fill = np.repeat(ent, 1 << (16 - ln))[:1 << 16]  # an over-full spec clips
+    tab[:fill.size] = fill
+    return tab
 
 
-def _split_segments(tail: np.ndarray) -> list[np.ndarray]:
-    """Entropy-coded bytes → destuffed payload per restart segment.
+def _scan_segments(tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy-coded bytes → (destuffed payload, start offset of each
+    restart segment in it).
 
-    Walks only the 0xFF positions (sparse): 0xFF00 drops the stuffed
-    zero, RSTn closes a segment (markers dropped — each segment starts
+    One mask over the 0xFF positions: 0xFF00 drops the stuffed zero,
+    RSTn closes a segment (marker dropped — each segment starts
     byte-aligned by spec), a second 0xFF is a fill byte, anything else
-    terminates the scan."""
-    ffs = np.nonzero(tail == 0xFF)[0]
-    drop = np.zeros(len(tail), dtype=bool)
-    bounds = [0]
-    end = len(tail)
-    skip_next = -1
-    for p in ffs.tolist():
-        if p < skip_next or p >= end:
-            continue
-        if p + 1 >= len(tail):
-            end = p
-            break
-        nxt = int(tail[p + 1])
-        if nxt == 0x00:
-            drop[p + 1] = True
-            skip_next = p + 2
-        elif 0xD0 <= nxt <= 0xD7:
-            drop[p] = True
-            drop[p + 1] = True
-            bounds.append(p + 2)
-            skip_next = p + 2
-        elif nxt == 0xFF:
-            drop[p] = True  # fill byte before a marker
-        else:
-            end = p
-            break
-    segs = []
-    for i, b0 in enumerate(bounds):
-        b1 = bounds[i + 1] - 2 if i + 1 < len(bounds) else end
-        b1 = max(b0, min(b1, end))
-        seg = tail[b0:b1]
-        segs.append(seg[~drop[b0:b1]])
-    # a trailing empty segment (RST right before EOI) carries no MCUs
-    while len(segs) > 1 and segs[-1].size == 0:
-        segs.pop()
-    return segs
-
-
-def _extend_vec(v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Vectorized spec F.2.2.1 EXTEND (s == 0 → 0)."""
-    half = np.left_shift(np.int64(1), np.maximum(s, 1) - 1)
-    full = np.left_shift(np.int64(1), s)
-    return np.where(s == 0, 0, np.where(v < half, v - full + 1, v))
+    (or a final 0xFF) ends the scan. Trailing empty segments (an RST
+    right before EOI) carry no MCUs and are dropped."""
+    n = len(tail)
+    ff = np.flatnonzero(tail == 0xFF)
+    nxt = tail[np.minimum(ff + 1, n - 1)]
+    stuffed = nxt == 0x00
+    rst = (nxt >= 0xD0) & (nxt <= 0xD7)
+    fill = nxt == 0xFF
+    stop = np.flatnonzero(~(stuffed | rst | fill) | (ff == n - 1))
+    cut = stop[0] if stop.size else ff.size
+    end = ff[cut] if stop.size else n
+    ff, stuffed, rst, fill = ff[:cut], stuffed[:cut], rst[:cut], fill[:cut]
+    keep = np.ones(end, dtype=bool)
+    keep[ff[stuffed] + 1] = False
+    keep[ff[rst]] = False
+    keep[ff[rst] + 1] = False
+    keep[ff[fill]] = False
+    payload = tail[:end][keep]
+    # a segment starts after its RST, less every byte dropped up to it
+    dropped = np.cumsum(stuffed + fill + 2 * rst)
+    starts = np.concatenate(([0], (ff + 2 - dropped)[rst]))
+    nseg = max(1, int(np.count_nonzero(starts < payload.size)))
+    return payload, starts[:nseg]
 
 
 class _BatchPlan:
-    """Per-image decode plan: geometry + per-block table schedule."""
+    """Per-image decode plan: geometry, per-block table schedule and the
+    destuffed scan split into restart segments."""
     __slots__ = ("h", "w", "comps", "mcux", "mcuy", "hmax", "vmax",
-                 "bpm", "nblocks", "t_comp", "t_dclut", "t_aclut",
-                 "t_qt", "restart_interval", "gray")
+                 "bpm", "nblocks", "t_comp", "t_dctab", "t_actab",
+                 "t_qt", "restart_interval", "gray", "payload",
+                 "seg_start")
 
 
 def decode_batch(datas, strict: bool = True):
@@ -742,28 +757,26 @@ def decode_batch(datas, strict: bool = True):
     batch)."""
     n = len(datas)
     plans: list[_BatchPlan | None] = [None] * n
-    img_segs: list[list[np.ndarray]] = [[] for _ in range(n)]
     errors: list[Exception | None] = [None] * n
     prog_out: dict[int, np.ndarray] = {}
 
-    # LUT / QT registries shared across the batch (dedup by content —
+    # Huffman / QT registries shared across the batch (dedup by content —
     # a homogeneous corpus hits the same Annex-K tables in every image)
-    lut_reg: dict[tuple, int] = {}
-    lut_val: list[np.ndarray] = []
-    lut_len: list[np.ndarray] = []
+    tab_reg: dict[tuple, int] = {}
+    tabs: list[np.ndarray] = []
     qt_reg: dict[bytes, int] = {}
     qt_tabs: list[np.ndarray] = []
 
-    def _lut_id(spec) -> int:
-        key = (tuple(spec[0]), tuple(spec[1]))
-        i = lut_reg.get(key)
+    def _tab_base(cls: int, spec) -> int:
+        """Offset of the (class, spec) packed table in this batch's
+        stacked table array."""
+        key = (cls, tuple(spec[0]), tuple(spec[1]))
+        i = tab_reg.get(key)
         if i is None:
-            v, l = _build_lut16(*spec)
-            i = len(lut_val)
-            lut_reg[key] = i
-            lut_val.append(v)
-            lut_len.append(l)
-        return i
+            i = len(tabs)
+            tab_reg[key] = i
+            tabs.append(_build_packed(cls, *spec))
+        return i << 16
 
     def _qt_id(z: np.ndarray) -> int:
         key = z.tobytes()
@@ -796,29 +809,25 @@ def decode_batch(datas, strict: bool = True):
             for cs, td, ta in scan:
                 ci = by_id[cs]
                 _, hs, vs, tq = comps[ci]
-                d = _lut_id(huff_specs[(0, td)])
-                a = _lut_id(huff_specs[(1, ta)])
-                q = _qt_id(qts_z[tq])
-                for _ in range(hs * vs):
-                    t_comp.append(ci)
-                    t_dc.append(d)
-                    t_ac.append(a)
-                    t_qt.append(q)
+                nb = hs * vs
+                t_comp += [ci] * nb
+                t_dc += [_tab_base(0, huff_specs[(0, td)])] * nb
+                t_ac += [_tab_base(1, huff_specs[(1, ta)])] * nb
+                t_qt += [_qt_id(qts_z[tq])] * nb
             pl.bpm = len(t_comp)
             pl.nblocks = pl.mcux * pl.mcuy * pl.bpm
-            pl.t_comp = np.array(t_comp, dtype=np.int8)
-            pl.t_dclut = np.array(t_dc, dtype=np.int16)
-            pl.t_aclut = np.array(t_ac, dtype=np.int16)
-            pl.t_qt = np.array(t_qt, dtype=np.int16)
-            segs = _split_segments(arr[pos:])
+            pl.t_comp = np.array(t_comp, dtype=np.int64)
+            pl.t_dctab = np.array(t_dc, dtype=np.int64)
+            pl.t_actab = np.array(t_ac, dtype=np.int64)
+            pl.t_qt = np.array(t_qt, dtype=np.int64)
+            pl.payload, pl.seg_start = _scan_segments(arr[pos:])
             total_mcu = pl.mcux * pl.mcuy
             r = ri if ri else total_mcu
             expect = (total_mcu + r - 1) // r
-            if len(segs) != expect:
-                raise ValueError(
-                    f"expected {expect} restart segments, found {len(segs)}")
+            if len(pl.seg_start) != expect:
+                raise ValueError(f"expected {expect} restart segments, "
+                                 f"found {len(pl.seg_start)}")
             plans[ii] = pl
-            img_segs[ii] = segs
         except Exception as e:  # noqa: BLE001 — per-image quarantine
             if isinstance(e, ValueError) and "0xC2" in str(e):
                 # progressive (SOF2): scalar Annex-G path — a real
@@ -842,130 +851,115 @@ def decode_batch(datas, strict: bool = True):
             out0[ii] = im
         return out0
 
-    LUTVAL = np.stack(lut_val) if lut_val else np.zeros((1, 1 << 16), np.int64)
-    LUTLEN = np.stack(lut_len) if lut_len else np.zeros((1, 1 << 16), np.int64)
+    PACK = _scratch("pack", (len(tabs) << 16,), np.int64)
+    for i, tab in enumerate(tabs):
+        PACK[i << 16:(i + 1) << 16] = tab
     # QT registry in ZIGZAG order — dequantize before dezigzag
     QTZ = np.stack(qt_tabs)
 
-    # global block tables + per-lane (segment) state (int64 throughout:
-    # every per-iteration cast in the lockstep loop costs a fresh array)
+    # global block tables (b_tab: the DC and AC table base of every
+    # block) and per-lane (segment) bounds as bit positions and
+    # coefficient slots — int64, like every table the lockstep loop
+    # indexes: a cast there costs a fresh array per spin (the uint64
+    # window crosses by zero-copy views)
     nb_tot = sum(plans[i].nblocks for i in live)
     b_comp = _scratch("b_comp", (nb_tot,), np.int64)
-    b_dclut = _scratch("b_dclut", (nb_tot,), np.int64)
-    b_aclut = _scratch("b_aclut", (nb_tot,), np.int64)
     b_qt = _scratch("b_qt", (nb_tot,), np.int64)
+    b_tab = _scratch("b_tab", (nb_tot, 2), np.int64)
     img_block_off = {}
     off = 0
-    buf_parts = []
     byte_off = 0
-    l_bitpos, l_bitend, l_blk, l_blkend, l_img = [], [], [], [], []
+    lanes: list[tuple] = []
     for i in live:
         pl = plans[i]
         img_block_off[i] = off
         reps = pl.mcux * pl.mcuy
-        b_comp[off:off + pl.nblocks] = np.tile(pl.t_comp, reps)
-        b_dclut[off:off + pl.nblocks] = np.tile(pl.t_dclut, reps)
-        b_aclut[off:off + pl.nblocks] = np.tile(pl.t_aclut, reps)
-        b_qt[off:off + pl.nblocks] = np.tile(pl.t_qt, reps)
+        blk = slice(off, off + pl.nblocks)
+        b_comp[blk] = np.tile(pl.t_comp, reps)
+        b_qt[blk] = np.tile(pl.t_qt, reps)
+        b_tab[blk, 0] = np.tile(pl.t_dctab, reps)
+        b_tab[blk, 1] = np.tile(pl.t_actab, reps)
         r = pl.restart_interval if pl.restart_interval else reps
-        for si, seg in enumerate(img_segs[i]):
-            mcu_lo = si * r
-            mcu_hi = min((si + 1) * r, reps)
-            l_bitpos.append(byte_off * 8)
-            l_bitend.append((byte_off + seg.size) * 8)
-            l_blk.append(off + mcu_lo * pl.bpm)
-            l_blkend.append(off + mcu_hi * pl.bpm)
-            l_img.append(i)
-            buf_parts.append(seg)
-            byte_off += seg.size
+        seg = np.arange(len(pl.seg_start), dtype=np.int64)
+        seg_end = np.append(pl.seg_start[1:], pl.payload.size)
+        lanes.append(((byte_off + pl.seg_start) * 8,
+                      (byte_off + seg_end) * 8,
+                      (off + seg * r * pl.bpm) * 64,
+                      (off + np.minimum((seg + 1) * r, reps) * pl.bpm) * 64))
         off += pl.nblocks
+        byte_off += pl.payload.size
+    bp, bend, slot, slot_end = (np.concatenate(c) for c in zip(*lanes))
+    lane_lo, lane_hi = slot, slot_end
+    b_tab = b_tab.reshape(-1)
+
+    # every segment's payload back to back, then the big-endian 64-bit
+    # window at every 4-byte offset (bytes 4j..4j+7): a window shifted
+    # by its bit phase (< 32) still holds the 31 bits a symbol can use
     BUF = _scratch("BUF", (byte_off + 8,), np.uint8)
     BUF[byte_off:] = 0
-    pos = 0
-    for part in buf_parts:
-        BUF[pos:pos + part.size] = part
-        pos += part.size
-    S = len(l_bitpos)
-    l_bitpos = np.array(l_bitpos, dtype=np.int64)
-    l_bitend = np.array(l_bitend, dtype=np.int64)
-    l_blk = np.array(l_blk, dtype=np.int64)
-    l_blkend = np.array(l_blkend, dtype=np.int64)
-    l_img = np.array(l_img, dtype=np.int64)
-    l_k = np.full(S, -1, dtype=np.int64)  # -1 = DC expected
-    ncomp_max = max(len(plans[i].comps) for i in live)
-    pred = np.zeros((S, ncomp_max), dtype=np.int64)
-    failed = np.zeros(S, dtype=bool)
+    o = 0
+    for i in live:
+        p = plans[i].payload
+        BUF[o:o + p.size] = p
+        o += p.size
+    W = _scratch("W", (byte_off // 4 + 1,), np.uint64)
+    W[:] = np.ndarray(W.shape, dtype=">u8", buffer=BUF, strides=(4,))
+
+    coef16 = _scratch("coef16", (nb_tot * 64 + 1,), np.int16)
+    coef16[:] = 0  # warm-page fill, not a fresh np.zeros mmap
+    dummy = nb_tot * 64  # write slot of failing lanes
+    failed_at: list[np.ndarray] = []
+
+    # --- the lockstep loop: one Huffman symbol per live lane per spin
+    while bp.size:
+        x = W[bp >> 5]
+        x <<= (bp & 31).view(np.uint64)  # next unread bit at bit 63
+        tab = slot >> 6
+        tab <<= 1
+        tab += (slot & 63) != 0  # the block's DC table at k = 0, AC after
+        ix = b_tab[tab]
+        ix |= (x >> _U48).view(np.int64)
+        ent = PACK[ix]
+        nbits = ent & 31
+        mask = _AMP_MASK[(ent >> _E_SIZE) & 15]
+        amp = (x >> (64 - nbits).view(np.uint64)).view(np.int64)
+        amp &= mask
+        amp += mask
+        dst = slot + ((ent >> _E_WOFF) & 127)
+        bp += nbits
+        blk_last = slot | 63
+        bad = (bp > bend) | (dst > blk_last)  # overran / left the block
+        np.putmask(dst, bad, dummy)
+        coef16[dst] = _EXTEND[amp]
+        slot = np.minimum(slot + (ent >> _E_ADV), blk_last + 1)
+        gone = bad | (slot >= slot_end)
+        if gone.any():
+            if bad.any():
+                failed_at.append(slot_end[bad])
+            keep = ~gone
+            bp, bend, slot, slot_end = \
+                bp[keep], bend[keep], slot[keep], slot_end[keep]
 
     coef = _scratch("coef", (nb_tot, 64), np.int64)
-    coef[:] = 0  # warm-page fill, not a fresh np.zeros mmap
-    _W5 = np.array([1 << 32, 1 << 24, 1 << 16, 1 << 8, 1], dtype=np.int64)
-
-    # --- the lockstep loop: one Huffman symbol per active lane per spin
-    while True:
-        act = np.nonzero((~failed) & (l_blk < l_blkend))[0]
-        if act.size == 0:
-            break
-        bp = l_bitpos[act]
-        byte = (bp >> 3)
-        # 40-bit window via one small matmul (values < 2^40: int64-safe)
-        w40 = BUF[byte[:, None] + _OFF5] @ _W5
-        win32 = (w40 >> (8 - (bp & 7))) & 0xFFFFFFFF
-        blkg = l_blk[act]
-        isdc = l_k[act] < 0
-        lut = np.where(isdc, b_dclut[blkg], b_aclut[blkg])
-        w16 = win32 >> 16
-        sym = LUTVAL[lut, w16]
-        ln = LUTLEN[lut, w16]
-        bad = ln == 0
-        s = np.where(isdc, sym, sym & 0xF)
-        s = np.where(bad, 0, s)
-        lnz = np.where(bad, 0, ln)
-        val = (win32 >> (32 - lnz - s)) & (np.left_shift(np.int64(1), s) - 1)
-        ext = _extend_vec(val, s)
-        newpos = bp + lnz + s
-        bad |= newpos > l_bitend[act]
-        l_bitpos[act] = newpos
-        if bad.any():
-            failed[act[bad]] = True
-        ok = ~bad
-        # DC lanes: accumulate the predictor, write coefficient 0
-        m = isdc & ok
-        if m.any():
-            la = act[m]
-            bb = blkg[m]
-            ci = b_comp[bb]
-            nd = pred[la, ci] + ext[m]
-            pred[la, ci] = nd
-            coef[bb, 0] = nd
-            l_k[la] = 1
-        # AC lanes: run-length advance, write, EOB/ZRL handling
-        m2 = (~isdc) & ok
-        if m2.any():
-            la2 = act[m2]
-            bb2 = blkg[m2]
-            s2 = s[m2]
-            r2 = (sym[m2] >> 4) & 0xF
-            e2 = ext[m2]
-            kk = l_k[la2]
-            zrl = (s2 == 0) & (r2 == 15)
-            eob = (s2 == 0) & (r2 != 15)
-            nrm = s2 > 0
-            kk2 = np.where(zrl, kk + 16, kk)
-            kt = kk2 + np.where(nrm, r2, 0)
-            ovp = nrm & (kt > 63)
-            if ovp.any():
-                failed[la2[ovp]] = True
-            wr = nrm & ~ovp
-            if wr.any():
-                coef[bb2[wr], kt[wr]] = e2[wr]
-            kk3 = np.where(nrm, kt + 1, kk2)
-            done = eob | (kk3 >= 64)
-            l_k[la2] = np.where(done, -1, kk3)
-            l_blk[la2] = bb2 + done
+    coef.reshape(-1)[:] = coef16[:dummy]
+    # DC predictors: a cumsum of the differences along each (lane,
+    # component) chain, its blocks in scan order
+    lane_of_block = np.repeat(np.arange(lane_lo.size), (lane_hi - lane_lo) >> 6)
+    chain = lane_of_block * max(len(plans[i].comps) for i in live) + b_comp
+    order = np.argsort(chain, kind="stable")
+    chain = chain[order]
+    head = np.ones(nb_tot, dtype=bool)
+    head[1:] = chain[1:] != chain[:-1]
+    diff = coef[order, 0]
+    dc = np.cumsum(diff)
+    coef[order, 0] = dc - (dc - diff)[head][np.cumsum(head) - 1]
 
     img_failed = np.zeros(n, dtype=bool)
-    if failed.any():
-        img_failed[np.unique(l_img[failed])] = True
+    if failed_at:
+        live_off = np.array([img_block_off[i] for i in live], np.int64)
+        blk_f = (np.concatenate(failed_at) - 1) >> 6
+        img_failed[np.asarray(live)[
+            np.searchsorted(live_off, blk_f, side="right") - 1]] = True
     if strict and img_failed.any():
         raise ValueError(
             f"entropy decode failed for {int(img_failed.sum())} image(s)")

@@ -702,7 +702,7 @@ def neighbor_label_agg(edges: ray.data.Dataset,
 
     parts = [p for p in ray.get([_labels.remote(r) for r in
                                  nodes.materialize().to_arrow_refs()])
-             if len(p[0])]
+             if len(p[0])] or [(np.empty(0, np.int64), np.empty(0, np.int64))]
     ids = np.concatenate([p[0] for p in parts])
     labs = np.concatenate([p[1] for p in parts])
     o = np.argsort(ids)

@@ -223,13 +223,20 @@ def build_index(images_dir: str, out_dir: str, cfg: EngineConfig = DEFAULT,
     Returns summary stats. Safe to re-run after a kill: completed
     fragments (manifest records present) are pruned from the input scan
     before any work is scheduled — the north rule's "resumes without
-    re-encoding completed partitions".
+    re-encoding completed partitions". ``resume=False`` first drops the
+    fragment and compaction records, so the index holds only this run's
+    input.
     """
     FS(out_filesystem).mkdirs(out_dir)
     manifest = Manifest(out_dir, filesystem=out_filesystem)
     frags = list_fragments(images_dir, filesystem=filesystem)
-    done = manifest.completed_fragments() if resume else set()
-    if resume and done:
+    if not resume:
+        # an old compaction record would keep serving (and, covering
+        # every fragment id, stop compact_index from replacing) the
+        # previous build's rows
+        manifest.reset()
+    done = manifest.completed_fragments()
+    if done:
         # resume-lineage guard (ADVICE r1 build.py:208): fragment ids key
         # off the sorted listing position, so a record must point at the
         # same input path it was built from. A changed input set would

@@ -820,8 +820,12 @@ def _zonal_join_broadcast(foot: ray.data.Dataset, catchments_path: str,
     path is unnecessary. Index files are cell-partitioned, so batches
     are spatially local and each task touches few polygons."""
     # include the Ray session in the key: an ObjectRef from a previous
-    # ray.init() is dead after shutdown/re-init and must not be served
-    _session = ray.get_runtime_context().get_job_id()
+    # ray.init() is dead after shutdown/re-init and must not be served.
+    # The job id alone restarts at 01000000 in every fresh local cluster,
+    # whose node id is new; a driver reconnecting to a running cluster
+    # gets a new job id on the same node.
+    _rc = ray.get_runtime_context()
+    _session = (_rc.get_job_id(), _rc.get_node_id())
     _cache_key = (_catalog_state(catchments_path, filesystem), level,
                   _session)
     _cached = _ZONAL_BCAST_CACHE.get(_cache_key)

@@ -103,6 +103,19 @@ class Manifest:
             ))
         return recs
 
+    def reset(self) -> None:
+        """Forget every fragment and compaction record, so a build that
+        does not resume starts from an empty index. The compaction record
+        goes first: a kill part-way leaves a smaller but consistent
+        index. Data files the records named become garbage for
+        ``gc_index``."""
+        path = self.io.join(self.dir, self.COMPACTION)
+        if self.io.exists(path):
+            self.io.remove(path)
+        for name in self.io.listdir(self.dir):
+            if name.startswith("frag-") and name.endswith(".json"):
+                self.io.remove(self.io.join(self.dir, name))
+
     # ---- compaction ---------------------------------------------------------
 
     def write_compaction(self, partitions: list[PartitionStat],

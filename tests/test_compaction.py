@@ -160,3 +160,28 @@ def test_distinct_part_cells_is_distributed(compacted):
     # driver-side peak is bounded by #cells (deduped), far below #rows
     nrows = pq.read_table(files, columns=["part_cell"]).num_rows
     assert len(got) < nrows
+
+
+def test_rebuild_without_resume_drops_old_compaction(ray_session, tmp_path):
+    """build → compact → build(resume=False) over different input →
+    compact must serve the new input only: the old compaction record
+    covered every fragment id, so it used to make compact_index skip and
+    queries return the previous build's rows."""
+    from hand_index_ray.pipelines.build import build_index, compact_index
+    from hand_index_ray.pipelines.query import bbox_scan
+
+    old_images, new_images = str(tmp_path / "old"), str(tmp_path / "new")
+    synth.write_images(old_images, n=120, fragments=4)
+    synth.write_images(new_images, n=48, fragments=4)
+    out = str(tmp_path / "index")
+    build_index(old_images, out, CFG)
+    compact_index(out, CFG)
+    build_index(new_images, out, CFG, resume=False)
+    assert not compact_index(out, CFG).get("skipped")
+    man = Manifest(out)
+    rows = pq.read_table(man.all_files(out)).to_pandas()
+    want = {f"img-{i:09d}" for i in range(48)}
+    assert set(rows["image_id"]) == want and len(rows) == 48
+    assert man.total_rows() == 48
+    ds = bbox_scan(out, -180.0, -90.0, 180.0, 90.0)
+    assert set(ds.to_pandas()["image_id"]) == want

@@ -200,3 +200,73 @@ def test_encoder_restart_markers_decodable_by_scalar():
     assert b"\xFF\xDD" in buf[:sos]  # DRI present in the header
     np.testing.assert_array_equal(jpeg.decode(buf),
                                   jpeg.decode_batch([buf])[0])
+
+
+def _gray8_with_scan(scan: bytes) -> bytes:
+    """An 8×8 grayscale baseline stream whose entropy-coded segment is
+    replaced by ``scan``."""
+    buf = jpeg.encode(np.full((8, 8), 128, np.uint8), quality=90)
+    sos = buf.index(b"\xFF\xDA")
+    hdr_end = sos + 2 + int.from_bytes(buf[sos + 2:sos + 4], "big")
+    return buf[:hdr_end] + scan + b"\xFF\xD9"
+
+
+def test_decode_batch_bench_layout_and_corrupt_lanes():
+    """The ingest layout (``image.encode(..., "jpg")``: q98, one MCU per
+    restart segment, 64/96/128 dims) mixed with gray, 4:2:0 and
+    ``restart_rows`` streams, plus corrupt images, in ONE batch.
+    Healthy images (and the tolerated layouts: an RST right before EOI,
+    fill bytes before an RST) decode bit-exactly; images that fail in a
+    lane return None under strict=False and raise under strict=True."""
+    import pytest
+
+    healthy, want = [], []
+    for i, (w, h) in enumerate(zip(synth._WS, synth._HS)):
+        buf = imk.encode(synth.make_pixels(20 + i, w, h), "jpg")
+        healthy.append(buf)
+        want.append(jpeg.decode(buf))
+    px = synth.make_pixels(30, 40, 48)
+    for kw in ({"quality": 95}, {"quality": 90, "subsample": True},
+               {"quality": 92, "restart_rows": 1}):
+        buf = jpeg.encode(px, **kw)
+        healthy.append(buf)
+        want.append(jpeg.decode(buf))
+    healthy.append(jpeg.encode(px[..., 1], quality=98, restart_mcus=1))
+    want.append(jpeg.decode(healthy[-1]))
+    # tolerated layouts, checked against the scalar decode of the clean
+    # stream (the scalar decoder stops at a fill byte)
+    rst_stream = healthy[0]
+    healthy.append(rst_stream[:-2] + b"\xFF\xD5" + rst_stream[-2:])
+    want.append(want[0])
+    p = rst_stream.index(b"\xFF\xD0", rst_stream.index(b"\xFF\xDA"))
+    healthy.append(rst_stream[:p] + b"\xFF\xFF" + rst_stream[p:])
+    want.append(want[0])
+
+    dc = jpeg._build_codes(*jpeg.DC_LUMA)
+    ac = jpeg._build_codes(*jpeg.AC_LUMA)
+    bw = jpeg._BitWriter()
+    bw.put(*dc[0])
+    for _ in range(3):
+        bw.put(*ac[0xF0])  # ZRL ×3: k = 49
+    bw.put(*ac[0xF1])  # run 15 → k = 64
+    bw.put(1, 1)
+    bw.flush()
+    run_past_63 = _gray8_with_scan(bytes(bw.out))
+    bad_prefix = _gray8_with_scan(b"\xFF\x00\xFF\x00")  # 9+ one-bits
+    tail = healthy[1]
+    last_rst = max(tail.rfind(bytes([0xFF, 0xD0 + m])) for m in range(8))
+    truncated = tail[:last_rst + 3] + b"\xFF\xD9"  # 1 byte of the last segment
+    for b in (run_past_63, bad_prefix):
+        with pytest.raises(ValueError):
+            jpeg.decode(b)
+    corrupt = [run_past_63, bad_prefix, truncated]
+
+    batch = healthy[:3] + corrupt + healthy[3:]
+    got = jpeg.decode_batch(batch, strict=False)
+    assert got[3:6] == [None, None, None]
+    for i, (g, wv) in enumerate(zip(got[:3] + got[6:], want)):
+        assert g is not None and g.shape == wv.shape, i
+        np.testing.assert_array_equal(g, wv, err_msg=str(i))
+    for b in corrupt:
+        with pytest.raises(ValueError):
+            jpeg.decode_batch(healthy[:2] + [b], strict=True)

@@ -371,3 +371,43 @@ def test_zonal_broadcast_cache_invalidates_on_catalog_change(ray_session, index_
     assert len(after) < len(full)
     if len(after):  # Ray to_pandas drops columns on an all-empty result
         assert set(after["catchment_id"]) <= {kept_cid}
+
+
+_REINIT_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import ray
+from hand_index_ray.config import EngineConfig
+from hand_index_ray.pipelines.query import zonal_join
+
+cfg = EngineConfig(zonal_join_level=7)
+runs = []
+for _ in range(2):
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    import ray.data
+    ray.data.DataContext.get_current().enable_progress_bars = False
+    df = zonal_join(sys.argv[2], sys.argv[3], cfg).to_pandas()
+    runs.append(sorted(zip(df["image_id"], df["catchment_id"])))
+    ray.shutdown()
+print(json.dumps(runs))
+"""
+
+
+def test_zonal_broadcast_cache_survives_ray_reinit(index_dir, smoke_dirs):
+    """A broadcast zonal join on a catalog already joined before
+    ray.shutdown()/ray.init() in the same process must rebuild its
+    catalog ref, not serve the dead one from the previous session."""
+    import json
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cpath = os.path.join(smoke_dirs["vector"], "catchments.parquet")
+    proc = subprocess.run([sys.executable, "-c", _REINIT_SCRIPT, root,
+                           index_dir, cpath], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    first, second = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(first) > 0
+    assert first == second

@@ -223,6 +223,26 @@ def test_neighbor_label_agg_missing_dst_raises(ray_session):
     assert "absent" in str(ei.value)
 
 
+def test_neighbor_label_agg_empty_node_table(ray_session):
+    """Every node block empty: the aggregation over no edges is empty,
+    and an edge into the empty node set still fails the absent-dst
+    guard instead of np.concatenate([]) raising first (ADVICE r5)."""
+    import ray.data
+
+    from hand_index_ray.pipelines.ann import neighbor_label_agg
+
+    def _ds(**cols):
+        return ray.data.from_arrow(pa.table(
+            {k: pa.array(v, pa.int64()) for k, v in cols.items()}))
+
+    nodes = _ds(vec_id=[], label=[])
+    got = neighbor_label_agg(_ds(src=[], dst=[]), nodes).to_pandas()
+    assert len(got) == 0
+    with pytest.raises(Exception) as ei:
+        neighbor_label_agg(_ds(src=[0], dst=[1]), nodes).to_pandas()
+    assert "absent" in str(ei.value)
+
+
 def test_neighbor_label_agg_happy_path_unchanged(ray_session):
     import ray.data
 
