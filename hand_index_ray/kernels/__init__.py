@@ -6,7 +6,7 @@ shapely/geopandas calls used by the reference (SURVEY.md §2.8):
   wkb     — WKB polygon/multipolygon codec over ragged numpy arrays
   geom    — area / centroid / point-in-polygon / clip / simplify / bbox
   s2      — exact S2 cell ids (quadratic projection + Hilbert curve)
-  hexgrid — H3-style icosahedral aperture-7 hex cells (res 0-15)
+  h3exact — bit-exact Uber H3 cell ids (latlng_to_cell)
   image   — raw/ppm/png/qjpg codecs, resize, embed, PSNR, perceptual hash
   sketch  — mergeable HyperLogLog distinct-count
 (text-analysis kernels live with their pipelines in pipelines/text.py)

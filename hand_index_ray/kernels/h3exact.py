@@ -1,7 +1,6 @@
 """Bit-exact Uber H3 ``latlng_to_cell`` (cell mode), vectorized numpy.
 
-Replaces the H3-*style* ids of kernels/hexgrid.py (VERDICT r2 M6, the
-only partial) with real H3 indexes matching the reference's
+Real H3 indexes (VERDICT r2 M6) matching the reference's
 ``h3_latlng_to_cell(lat, lon, res)`` (reference load.py:164-168,
 DuckDB community h3 extension → Uber h3 C library).
 

@@ -11,7 +11,7 @@ neighbors with cross-face wrapping.
 The reference uses a single-resolution H3 centroid key
 (reference load.py:164-168); the north rule generalizes this to
 multi-resolution H3 + S2 keys, so both families are emitted by the
-cell-encode stage (see kernels/hexgrid.py for the H3-style one).
+cell-encode stage (see kernels/h3exact.py for the H3 one).
 
 All encode/decode paths are vectorized over point arrays; the Hilbert
 interleave processes 4 bits per iteration through precomputed lookup

@@ -19,6 +19,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..relational import round_half_away
 from ..sources.synth import splitmix64
 
 SIM_DECIMALS = 6
@@ -356,11 +357,9 @@ _SELF_SENTINEL = -(np.int64(1) << np.int64(62))
 
 
 def _sim_micro(sims: np.ndarray) -> np.ndarray:
-    # half-away-from-zero, matching DuckDB ROUND (np.round is
-    # half-to-even; floor(x+0.5) would be half-UP — wrong for the
-    # signed cosine sims this rounds, ADVICE r4)
-    return np.copysign(np.floor(np.abs(sims) * 1e6 + 0.5),
-                       sims).astype(np.int64)
+    # half-away-from-zero on the signed cosine sims, matching DuckDB
+    # ROUND (np.round is half-to-even, floor(x+0.5) half-up)
+    return round_half_away(sims * 1e6).astype(np.int64)
 
 
 def knn_graph(ds: ray.data.Dataset, k: int = 3,

@@ -37,7 +37,7 @@ import ray
 import ray.data
 
 from ..config import DEFAULT, EngineConfig
-from ..kernels import geom, hexgrid as hx, proj, wkb
+from ..kernels import geom, proj, wkb
 from ..stages.encode import CellEncoder, decode_images, derive_footprints
 from ..state.fsio import FS
 from ..state.manifest import FragmentRecord, Manifest, PartitionStat

@@ -31,14 +31,12 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+from ..relational import round_half_away
 
 
 def _micro(t: pa.Table, vec_col: str, d: int) -> np.ndarray:
     flat = pc.list_flatten(t[vec_col]).to_numpy().astype(np.float64)
-    return _round_half_away(flat * 1e6).astype(np.int64).reshape(-1, d)
+    return round_half_away(flat * 1e6).astype(np.int64).reshape(-1, d)
 
 
 def kmeans_micro(ds: ray.data.Dataset, id_col: str = "vec_id",
@@ -103,7 +101,7 @@ def kmeans_micro(ds: ray.data.Dataset, id_col: str = "vec_id",
         new = cents.copy()
         for cl, sub in agg.groupby("cluster"):
             sub = sub.sort_values("dim")
-            new[int(cl)] = _round_half_away(
+            new[int(cl)] = round_half_away(
                 sub["s"].to_numpy().astype(np.float64)
                 / sub["n"].to_numpy()).astype(np.int64)
         cents = new

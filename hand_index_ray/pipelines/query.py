@@ -1045,10 +1045,10 @@ def zonal_join(index_dir: str, catchments_path: str,
 
     Returns Dataset[(image_id, catchment_id)] (+ catchment h3_index).
     """
+    from ..relational import cogroup_apply
     from ..state.fsio import FS
 
     level = cfg.zonal_join_level
-    delta = 45.0 / (1 << level)
     man = Manifest(index_dir, filesystem=filesystem)
     files = man.all_files(index_dir)
     foot = ray.data.read_parquet(files,
@@ -1074,40 +1074,19 @@ def zonal_join(index_dir: str, catchments_path: str,
                                      filesystem=filesystem,
                                      pool_hint=len(files))
 
-    _SCHEMA = pa.schema([
-        ("cell", pa.uint64()), ("salt", pa.int32()), ("side", pa.int8()),
-        ("image_id", pa.string()),
-        ("minx", pa.float64()), ("miny", pa.float64()),
-        ("maxx", pa.float64()), ("maxy", pa.float64()),
-        ("catchment_id", pa.string()), ("geometry", pa.binary()),
-    ])
-
-    def _empty() -> pa.Table:
-        return _SCHEMA.empty_table()
-
-    def _lattice_cells(minx, miny, maxx, maxy):
-        return lattice_cover(minx, miny, maxx, maxy, level)
-
     def explode_foot(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty()
-        minx = t.column("minx").to_numpy()
-        miny = t.column("miny").to_numpy()
-        maxx = t.column("maxx").to_numpy()
-        maxy = t.column("maxy").to_numpy()
-        idx, cells = _lattice_cells(minx, miny, maxx, maxy)
+        idx, cells = lattice_cover(t.column("minx").to_numpy(),
+                                   t.column("miny").to_numpy(),
+                                   t.column("maxx").to_numpy(),
+                                   t.column("maxy").to_numpy(), level)
         base = t.take(pa.array(idx))
-        n = len(idx)
         return pa.table({
             "cell": pa.array(cells, pa.uint64()),
-            "salt": pa.array(np.zeros(n, dtype=np.int32), pa.int32()),
-            "side": pa.array(np.zeros(n, dtype=np.int8), pa.int8()),
+            "salt": pa.array(np.zeros(len(idx), dtype=np.int32), pa.int32()),
             "image_id": base.column("image_id"),
             "minx": base.column("minx"), "miny": base.column("miny"),
             "maxx": base.column("maxx"), "maxy": base.column("maxy"),
-            "catchment_id": pa.array([""] * n, pa.string()),
-            "geometry": pa.array([b""] * n, pa.binary()),
-        }, schema=_SCHEMA)
+        })
 
     foot_exploded = foot.map_batches(explode_foot, batch_format="pyarrow",
                                      zero_copy_batch=True).materialize()
@@ -1149,7 +1128,7 @@ def zonal_join(index_dir: str, catchments_path: str,
         """Salt hot cells AND assign the co-group bucket in one fused
         stage (each extra chained operator costs real wall time)."""
         if t.num_rows == 0:
-            return t.append_column("bucket", pa.array([], pa.int32()))
+            return t.append_column("__bucket", pa.array([], pa.int32()))
         hots = ray.get(hot_ref)
         cells = t.column("cell").to_numpy()
         salt = t.column("salt").to_numpy()
@@ -1162,7 +1141,7 @@ def zonal_join(index_dir: str, catchments_path: str,
             salt[mask] = (splitmix64(idx[mask].astype(np.uint64)) % np.uint64(S)).astype(np.int32)
             t = t.set_column(t.schema.get_field_index("salt"), "salt",
                              pa.array(salt, pa.int32()))
-        return t.append_column("bucket", _bucket_col(cells, salt))
+        return t.append_column("__bucket", _bucket_col(cells, salt))
 
     foot_salted = foot_exploded.map_batches(salt_foot, batch_format="pyarrow")
 
@@ -1196,9 +1175,17 @@ def zonal_join(index_dir: str, catchments_path: str,
         skew_stats["max_group_rows"] = max(_m2.values()) if _m2 else 0
         foot_salted = _fs_mat
 
+    def cat_rows(cells, salt, cids, blobs) -> pa.Table:
+        return pa.table({"cell": pa.array(cells, pa.uint64()),
+                         "salt": pa.array(salt, pa.int32()),
+                         "catchment_id": pa.array(cids, pa.string()),
+                         "geometry": pa.array(blobs, pa.binary()),
+                         "__bucket": _bucket_col(cells, salt)})
+
     def explode_cat(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
-            return _empty().append_column("bucket", pa.array([], pa.int32()))
+            return cat_rows(np.empty(0, np.uint64), np.empty(0, np.int32),
+                            [], [])
         hots = set(int(c) for c in ray.get(hot_ref))
         blobs = [t.column("geometry")[i].as_py() for i in range(t.num_rows)]
         cids = t.column("catchment_id").to_pylist()
@@ -1217,61 +1204,40 @@ def zonal_join(index_dir: str, catchments_path: str,
         bminy = lats.min(axis=1) - pad
         bmaxx = lons.max(axis=1) + pad
         bmaxy = lats.max(axis=1) + pad
-        idx, cells = _lattice_cells(bminx, bminy, bmaxx, bmaxy)
+        idx, cells = lattice_cover(bminx, bminy, bmaxx, bmaxy, level)
         # replicate rows that land on hot cells into all salt buckets
         is_hot = np.array([int(c) in hots for c in cells]) if hots else np.zeros(len(cells), bool)
         rep = np.where(is_hot, S, 1)
         idx = np.repeat(idx, rep)
         cells = np.repeat(cells, rep)
         salt_col = np.concatenate([np.arange(r, dtype=np.int32) for r in rep]) if len(rep) else np.array([], dtype=np.int32)
-        n = len(idx)
-        out = pa.table({
-            "cell": pa.array(cells, pa.uint64()),
-            "salt": pa.array(salt_col, pa.int32()),
-            "side": pa.array(np.ones(n, dtype=np.int8), pa.int8()),
-            "image_id": pa.array([""] * n, pa.string()),
-            "minx": pa.array(bminx[idx], pa.float64()),
-            "miny": pa.array(bminy[idx], pa.float64()),
-            "maxx": pa.array(bmaxx[idx], pa.float64()),
-            "maxy": pa.array(bmaxy[idx], pa.float64()),
-            "catchment_id": pa.array([cids[i] for i in idx], pa.string()),
-            "geometry": pa.array([blobs[i] for i in idx], pa.binary()),
-        }, schema=_SCHEMA)
-        return out.append_column("bucket", _bucket_col(cells, salt_col))
+        return cat_rows(cells, salt_col, [cids[i] for i in idx],
+                        [blobs[i] for i in idx])
 
     cat = ray.data.read_parquet(catchments_path,
                                 columns=["catchment_id", "geometry"],
                                 filesystem=filesystem)
     cat_exploded = cat.map_batches(explode_cat, batch_format="pyarrow")
 
-    # co-group via hash buckets: ONE shuffle keyed on
-    # bucket = hash(cell, salt) % NB (assigned inside the explode/salt
-    # stages — no extra chained operator), and a single map_groups
-    # dispatch per bucket; per-(cell,salt) iteration happens inside the
-    # bucket with pandas C-speed grouping (Ray's per-group UDF dispatch
-    # over thousands of tiny cell groups dominated the join before)
-    bucketed = foot_salted.union(cat_exploded)
-
+    # co-group: footprint and catalog rows carry their own slim columns
+    # and bucket = hash(cell, salt) % NB (assigned inside the explode/salt
+    # stages — no extra chained operator); relational.cogroup_apply ships
+    # both as per-bucket Arrow IPC payloads in ONE shuffle and calls
+    # pair_fn once per bucket. Inside a bucket, a pandas merge on (cell,
+    # salt) IS the co-group, and grouping its candidates by catchment
+    # lets every polygon run ONE rects_vs_polygon call over all its
+    # candidate rects (per-call numpy fixed cost dominated before)
     _OUT_EMPTY = {"image_id": pd.Series([], dtype=object),
                   "catchment_id": pd.Series([], dtype=object)}
 
-    def join_bucket(bucket_df: pd.DataFrame) -> pd.DataFrame:
-        out_img: list = []
-        out_cid: list = []
-        # vectorized candidate generation: pandas merge on (cell, salt)
-        # replaces per-(cell,salt) group iteration — the merge IS the
-        # co-group, and grouping the candidates by catchment afterwards
-        # lets every polygon run ONE rects_vs_polygon call over all its
-        # candidate rects (per-call numpy fixed cost dominated before)
-        f = bucket_df[bucket_df["side"] == 0]
-        c = bucket_df[bucket_df["side"] == 1]
-        if f.empty or c.empty:
+    def pair_fn(ft: "pa.Table | None", ct: "pa.Table | None") -> pd.DataFrame:
+        if ft is None or ct is None:
             return pd.DataFrame(_OUT_EMPTY)
-        cand = f[["cell", "salt", "image_id", "minx", "miny", "maxx", "maxy"]] \
-            .merge(c[["cell", "salt", "catchment_id", "geometry"]],
-                   on=["cell", "salt"])
+        cand = ft.to_pandas().merge(ct.to_pandas(), on=["cell", "salt"])
         if cand.empty:
             return pd.DataFrame(_OUT_EMPTY)
+        out_img: list = []
+        out_cid: list = []
         # a catchment covers several cells in this bucket — decode +
         # reproject each distinct geometry ONCE per bucket, not per cell
         geo_cache: dict = {}
@@ -1309,7 +1275,7 @@ def zonal_join(index_dir: str, catchments_path: str,
             out_cid.extend([cid] * len(emit))
         return pd.DataFrame({"image_id": out_img, "catchment_id": out_cid})
 
-    return bucketed.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    return cogroup_apply(foot_salted, cat_exploded, pair_fn)
 
 
 def zonal_stats(index_dir: str, catchments_path: str,

@@ -2272,9 +2272,13 @@ def editdist_pairs(ds: ray.data.Dataset, max_dist: int = 5,
     from the block whose band equals max(band_a, band_b) — present in
     exactly one such block, so emission stays exactly-once with no
     dedup shuffle. ``max_block`` is the production-scale knob: when
-    set, residual hot blocks (same first token AND same length band)
-    beyond that many rows are dropped whole — the boilerplate cap à la
-    winnowing's ``max_postings``; ~8192 is a sensible web-scale value.
+    set, a residual hot (first token, block) group beyond that many
+    rows is dropped whole — the boilerplate cap à la winnowing's
+    ``max_postings``; ~8192 is a sensible web-scale value. The cap
+    counts the whole two-band group (band ``blk`` originals plus band
+    ``blk - 1`` replicas), so it trips at about half that many rows per
+    band, and dropping the group also drops the cross-band pairs whose
+    max band is ``blk``.
     Default ``None`` = exact (no drops), so the output matches the
     uncapped SQL oracle at ANY data distribution — the cap must be an
     explicit opt-in precisely because the oracle has no counterpart
@@ -2345,8 +2349,9 @@ def editdist_pairs(ds: ray.data.Dataset, max_dist: int = 5,
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2 or (max_block is not None and len(g) > max_block):
-            # oversize blocks (same first token AND length band) are
-            # boilerplate — dropped whole when the opt-in cap is set
+            # oversize (ft, blk) groups are boilerplate — dropped whole
+            # when the opt-in cap is set; the count spans both bands in
+            # the group, and the drop takes its cross-band pairs too
             return pd.DataFrame(_EMPTY)
         blk = int(g["blk"].iloc[0])
         g = g.sort_values(id_col)

@@ -113,37 +113,19 @@ def broadcast_join(big: ray.data.Dataset, small: pa.Table, keys: list[str] | str
                            concurrency=(1, 8))
 
 
-NATIVE_JOIN_CROSSOVER_ROWS = 2_000_000
-
-
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
               key: str, how: str = "inner", num_buckets: int = 64,
-              use_native: bool = False,
-              size_hint_rows: "int | None" = None,
               left_cols: "list[str] | None" = None,
               right_cols: "list[str] | None" = None,
               salt_hot: bool = False, salt_buckets: int = 8,
               salt_hot_factor: float = 8.0) -> ray.data.Dataset:
     """Partitioned hash join for two LARGE sides (SURVEY.md §2.4 J2
-    "at scale" path): both sides bucketed on hash(key) % B, one
-    co-group shuffle, per-bucket pyarrow join.
-
-    ``use_native=True`` routes to Ray Data's built-in hash-partitioned
-    ``Dataset.join`` instead. Measured (tools/join_compare.py, r3,
-    lineitem×orders inner at 32 CPUs, within one process):
-
-        input rows   custom IPC   native Dataset.join   winner
-        600 k        2.7 s        4.7 s                 custom 1.7×
-        6 M          56.3 s       18.8 s                native 3.0×
-
-    The crossover is real: the custom path's per-bucket IPC payloads
-    grow with input while the native join's fixed aggregator-actor
-    overhead amortizes. Default stays custom (the sub-million-row
-    regime every driver/bench query runs in); callers that KNOW their
-    scale pass ``size_hint_rows`` (combined input rows — reads know it
-    from parquet metadata for free) and the join auto-routes native
-    above ``NATIVE_JOIN_CROSSOVER_ROWS``. On a real multi-node cluster
-    re-measure: long-lived sessions amortize the native actors further.
+    "at scale" path): both sides are tagged with bucket = hash(key) % B
+    and co-grouped by ``cogroup_apply`` (one shuffle of Arrow IPC
+    payloads); each bucket runs one pyarrow join. Output columns are
+    ``left_cols + right_cols`` minus the right key; unmatched outer
+    rows carry nulls. Callers with a possibly-empty side (``schema()``
+    is None on a zero-block dataset) pass the column lists explicitly.
 
     Skewed hot keys: pass ``salt_hot=True`` (inner/left only) — a
     count pre-pass over the left side finds keys above
@@ -156,17 +138,6 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     (``salt_hot`` rejects full: replicated unmatched right rows would
     duplicate).
     """
-    if size_hint_rows is not None and size_hint_rows > NATIVE_JOIN_CROSSOVER_ROWS:
-        use_native = True
-    if use_native and hasattr(ray.data.Dataset, "join"):
-        jt = {"inner": "inner", "left": "left_outer",
-              "full": "full_outer"}[how]
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        nparts = max(2, min(num_buckets, cpus - 1))
-        return left.join(right, join_type=jt, num_partitions=nparts, on=(key,))
     hot_vals = None
     if salt_hot:
         if how == "full":
@@ -239,87 +210,37 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
                                 b = np.concatenate(
                                     [b, (combo % np.int64(NB))
                                         .astype(np.int32)])
-            out = t.append_column("__bucket", pa.array(b, pa.int32()))
-            return out.append_column("__side", pa.array(np.full(t.num_rows, side, np.int8)))
+            return t.append_column("__bucket", pa.array(b, pa.int32()))
         return f
 
-    lt = left.map_batches(tag(0), batch_format="pyarrow", zero_copy_batch=True)
-    rt = right.map_batches(tag(1), batch_format="pyarrow", zero_copy_batch=True)
-    # schemas differ → keep sides separate through the shuffle by
-    # packing each row group per bucket via map_groups on the union of
-    # bucket keys; simplest robust co-group: groupby bucket on each
-    # side's schema is impossible in one union, so join per bucket by
-    # aligning two grouped datasets is done with a pandas merge inside
-    # the grouped task over a combined long format:
-    # callers with a possibly-empty side (schema() is None on a
-    # zero-block dataset) pass the column lists explicitly
     lcols = list(left_cols) if left_cols is not None else [c for c in left.schema().names]
     rcols = list(right_cols) if right_cols is not None else [c for c in right.schema().names]
-
-    def _ipc_bytes(sub: pa.Table) -> bytes:
-        # Arrow IPC stream, not pickle: no Python-object re-serialization
-        # through the shuffle, and the receiver reads it zero-copy
-        sink = pa.BufferOutputStream()
-        with pa.ipc.new_stream(sink, sub.schema) as w:
-            w.write_table(sub)
-        return sink.getvalue().to_pybytes()
-
-    def to_long(side_cols):
-        def f(t: pa.Table) -> pa.Table:
-            buckets = t.column("__bucket").to_numpy()
-            order = np.argsort(buckets, kind="stable")
-            tt = t.take(pa.array(order))
-            bs = tt.column("__bucket").to_numpy()
-            cuts = np.flatnonzero(np.diff(bs)) + 1
-            starts = np.concatenate([[0], cuts])
-            ends = np.concatenate([cuts, [len(bs)]])
-            rows = []
-            for s, e in zip(starts, ends):
-                sub = tt.slice(int(s), int(e - s)).drop_columns(["__bucket", "__side"])
-                rows.append({"__bucket": int(bs[s]),
-                             "__side": int(tt.column("__side")[int(s)].as_py()),
-                             "payload": _ipc_bytes(sub)})
-            return pa.Table.from_pylist(rows) if rows else pa.table(
-                {"__bucket": pa.array([], pa.int64()),
-                 "__side": pa.array([], pa.int64()),
-                 "payload": pa.array([], pa.binary())})
-        return f
-
-    packed = lt.map_batches(to_long(lcols), batch_format="pyarrow").union(
-        rt.map_batches(to_long(rcols), batch_format="pyarrow"))
-
-    def _ipc_read(b: bytes) -> pa.Table:
-        return pa.ipc.open_stream(pa.py_buffer(b)).read_all()
-
     cols_out = lcols + [c for c in rcols if c != key]
+    jt = {"inner": "inner", "left": "left outer", "full": "full outer"}[how]
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        ls = [_ipc_read(b) for b in g.loc[g["__side"] == 0, "payload"]]
-        rs = [_ipc_read(b) for b in g.loc[g["__side"] == 1, "payload"]]
-        if not ls:
-            if how == "full" and rs:
-                df = pa.concat_tables(rs).to_pandas()
-                for c in lcols:
-                    if c != key:
-                        df[c] = None
-                return df.reindex(columns=cols_out)
+    def pad(t: pa.Table, missing: list[str]) -> pd.DataFrame:
+        df = t.to_pandas()
+        for c in missing:
+            if c != key:
+                df[c] = None
+        return df.reindex(columns=cols_out)
+
+    def pair_fn(lt: pa.Table | None, rt: pa.Table | None) -> pd.DataFrame:
+        if lt is None:
+            if how == "full" and rt is not None:
+                return pad(rt, lcols)
             return pd.DataFrame(columns=cols_out)
-        lt_ = pa.concat_tables(ls)
-        if not rs:
+        if rt is None:
             if how in ("left", "full"):
-                df = lt_.to_pandas()
-                for c in rcols:
-                    if c != key:
-                        df[c] = None
-                return df.reindex(columns=cols_out)
+                return pad(lt, rcols)
             return pd.DataFrame(columns=cols_out)
-        rt_ = pa.concat_tables(rs)
-        jt = {"inner": "inner", "left": "left outer",
-              "full": "full outer"}[how]
-        return lt_.join(rt_, keys=key, join_type=jt).to_pandas() \
+        return lt.join(rt, keys=key, join_type=jt).to_pandas() \
             .reindex(columns=cols_out)
 
-    return packed.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    return cogroup_apply(
+        left.map_batches(tag(0), batch_format="pyarrow", zero_copy_batch=True),
+        right.map_batches(tag(1), batch_format="pyarrow", zero_copy_batch=True),
+        pair_fn)
 
 
 def semi_join(big: ray.data.Dataset, key: str, values: pa.Array,
@@ -648,7 +569,9 @@ def cogroup_apply(left: ray.data.Dataset, right: ray.data.Dataset,
     """Co-group two Datasets that already carry an int __bucket column
     and apply ``pair_fn(left_table | None, right_table | None) ->
     pd.DataFrame`` once per bucket. ONE all-to-all exchange total; the
-    payloads ride as Arrow IPC."""
+    payloads ride as Arrow IPC. This is the package's one two-sided
+    co-group: ``hash_join``, ``asof_join``, ``range_join`` and the
+    zonal join's shuffle route all run on it."""
     packed = left.map_batches(_pack_buckets(0), batch_format="pyarrow",
                               zero_copy_batch=True).union(
         right.map_batches(_pack_buckets(1), batch_format="pyarrow",
@@ -1277,13 +1200,6 @@ def histogram_int(ds: ray.data.Dataset, col: str, width: int,
         f, batch_format="pyarrow", zero_copy_batch=True)
     return grouped_agg(pre, [out], count=True)
 
-def round_half_away_micro(x: np.ndarray) -> np.ndarray:
-    """floor(x + 0.5): round-half-away-from-zero on non-negative input,
-    matching DuckDB ROUND() (np.round is half-to-even and diverges on
-    exact .5); for signed input use sign(x)*floor(|x|+0.5)."""
-    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
-
-
 def grouped_moments(ds: ray.data.Dataset, keys: list[str], x: str,
                     y: str | None = None) -> ray.data.Dataset:
     """Grouped second-moment aggregates (population variance; with
@@ -1340,18 +1256,18 @@ def grouped_moments(ds: ray.data.Dataset, keys: list[str], x: str,
         out = {k: t[k] for k in keys}
         out["n"] = pa.array(t["__n"].to_numpy(), pa.int64())
         out["sum_x"] = pa.array(t["__x"].to_numpy(), pa.int64())
-        out["var_micro"] = pa.array(round_half_away_micro(1e6 * var_num / (n * n)))
+        out["var_micro"] = pa.array(round_half_away(1e6 * var_num / (n * n)).astype(np.int64))
         if pair:
             sy = t["__y"].to_numpy().astype(np.float64)
             syy = t["__yy"].to_numpy().astype(np.float64)
             sxy = t["__xy"].to_numpy().astype(np.float64)
             cov_num = n * sxy - sx * sy
             out["sum_y"] = pa.array(t["__y"].to_numpy(), pa.int64())
-            out["cov_micro"] = pa.array(round_half_away_micro(1e6 * cov_num / (n * n)))
+            out["cov_micro"] = pa.array(round_half_away(1e6 * cov_num / (n * n)).astype(np.int64))
             denom = np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
             with np.errstate(divide="ignore", invalid="ignore"):
                 corr = np.where(denom > 0.0, 1e6 * cov_num / denom, 0.0)
-            out["corr_micro"] = pa.array(round_half_away_micro(corr))
+            out["corr_micro"] = pa.array(round_half_away(corr).astype(np.int64))
         return pa.table(out)
 
     return agg.map_batches(finish, batch_format="pyarrow")
@@ -1595,7 +1511,7 @@ def grouped_zscore(ds: ray.data.Dataset, keys: list[str], x: str,
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = np.where(denom > 0.0, 1e6 * (n * xv - sx) / denom, 0.0)
             b = b[id_cols + keys + [x]].copy()
-            b["z_micro"] = round_half_away_micro(z)
+            b["z_micro"] = round_half_away(z).astype(np.int64)
             return b
 
     return slim.map_batches(Standardize, batch_format="pandas",

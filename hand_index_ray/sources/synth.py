@@ -29,7 +29,6 @@ import pyarrow.parquet as pq
 from ..kernels import image as imk
 from ..kernels import proj, wkb
 from ..kernels import h3exact
-from ..kernels import hexgrid as hx
 
 SEED = 42
 # bump when generated bytes change (e.g. codec/phash definition changes)

@@ -46,7 +46,6 @@ def test_per_row_invariants_vs_oracle(footprints):
     np.testing.assert_allclose(df["maxy"].to_numpy(), maxy)
     # cell assignment matches direct oracle encode (real Uber-H3 ids)
     from hand_index_ray.kernels import h3exact
-    from hand_index_ray.kernels import hexgrid as hx
 
     np.testing.assert_array_equal(df["h3_r7"].to_numpy().astype(np.uint64),
                                   h3exact.latlng_to_cell(clat, clon, 7))

@@ -102,10 +102,10 @@ def test_cell_ids_identical_across_processes():
     script = (
         "import sys, json, numpy as np\n"
         "sys.path.insert(0, '/root/repo')\n"
-        "from hand_index_ray.kernels import s2, hexgrid\n"
+        "from hand_index_ray.kernels import h3exact, s2\n"
         "lon = np.linspace(-120, -70, 50); lat = np.linspace(25, 48, 50)\n"
         "print(json.dumps({'s2': s2.lonlat_to_cell(lon, lat, 16).tolist(),\n"
-        "                  'hx': hexgrid.lonlat_to_cell(lon, lat, 7).tolist()}))\n"
+        "                  'h3': h3exact.latlng_to_cell(lat, lon, 7).tolist()}))\n"
     )
     outs = []
     for _ in range(2):
@@ -117,12 +117,12 @@ def test_cell_ids_identical_across_processes():
     # and identical to this process
     import numpy as np
 
-    from hand_index_ray.kernels import hexgrid, s2
+    from hand_index_ray.kernels import h3exact, s2
 
     lon = np.linspace(-120, -70, 50)
     lat = np.linspace(25, 48, 50)
     assert s2.lonlat_to_cell(lon, lat, 16).tolist() == outs[0]["s2"]
-    assert hexgrid.lonlat_to_cell(lon, lat, 7).tolist() == outs[0]["hx"]
+    assert h3exact.latlng_to_cell(lat, lon, 7).tolist() == outs[0]["h3"]
 
 
 def test_wkb_decode_rejects_malformed():

@@ -1,8 +1,7 @@
-"""Unit tests: S2 and H3-style hexgrid cell kernels (no Ray needed)."""
+"""Unit tests: S2, geohash and other cell kernels (no Ray needed)."""
 
 import numpy as np
 
-from hand_index_ray.kernels import hexgrid as hx
 from hand_index_ray.kernels import s2
 
 
@@ -65,55 +64,6 @@ def test_s2_cover_bbox_join_key_guarantee():
         b = (a[2] - 0.005, a[3] - 0.005, a[2] + rng.uniform(0.01, 1), a[3] + rng.uniform(0.01, 1))
         ca = s2.cover_bbox(*a, level=10)
         cb = s2.cover_bbox(*b, level=10)
-        assert len(np.intersect1d(ca, cb)) > 0
-
-
-def test_hexgrid_partition_and_roundtrip():
-    rng = np.random.default_rng(7)
-    lon = rng.uniform(-180, 180, 3000)
-    lat = rng.uniform(-88, 88, 3000)
-    for res in (1, 5, 9):
-        cid = hx.lonlat_to_cell(lon, lat, res)
-        assert (hx.cell_res(cid) == res).all()
-        clon, clat = hx.cell_to_lonlat(cid)
-        cid2 = hx.lonlat_to_cell(clon, clat, res)
-        interior = hx.unpack(cid)[0] == hx.unpack(cid2)[0]
-        # face-interior cells re-encode exactly; face-edge cells are clipped
-        # hexes (see module docstring) and may re-encode on the adjacent face
-        assert (cid2[interior] == cid[interior]).all()
-        assert interior.mean() > 0.9
-
-
-def test_hexgrid_multires_straddle_like_h3():
-    # hex children straddle parents (true in real H3 too): direct coarse
-    # assignment and parent-of-fine agree for most but not all points
-    rng = np.random.default_rng(3)
-    lon = rng.uniform(-120, -75, 2000)
-    lat = rng.uniform(26, 48, 2000)
-    c9 = hx.lonlat_to_cell(lon, lat, 9)
-    p5 = hx.cell_to_parent(c9, 5)
-    d5 = hx.lonlat_to_cell(lon, lat, 5)
-    agree = (p5 == d5).mean()
-    assert agree > 0.8
-
-
-def test_hexgrid_disk():
-    c = hx.lonlat_to_cell(np.array([-100.0]), np.array([40.0]), 7)
-    nb = hx.neighbors(c)
-    assert len(np.unique(nb)) == 6
-    assert len(hx.grid_disk(c[0], 1)) == 7
-    assert len(hx.grid_disk(c[0], 2)) == 19
-
-
-def test_hexgrid_cover_bbox_join_key_guarantee():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        x = rng.uniform(-120, -70)
-        y = rng.uniform(25, 45)
-        a = (x, y, x + rng.uniform(0.01, 2), y + rng.uniform(0.01, 2))
-        b = (a[2] - 0.005, a[3] - 0.005, a[2] + rng.uniform(0.01, 1), a[3] + rng.uniform(0.01, 1))
-        ca = hx.cover_bbox(*a, res=7)
-        cb = hx.cover_bbox(*b, res=7)
         assert len(np.intersect1d(ca, cb)) > 0
 
 

@@ -105,22 +105,6 @@ def test_export_validation_geojson(ray_session, smoke_dirs, tmp_path):
     assert -180 <= lon <= 180 and -90 <= lat <= 90
 
 
-def test_hash_join_native_path_matches(ray_session):
-    """The native Dataset.join path (use_native=True) must agree with
-    the explicit co-group on the same inputs."""
-    import ray.data
-
-    from hand_index_ray.relational import hash_join
-
-    left = ray.data.from_items([{"k": i % 7, "l": i} for i in range(200)])
-    right = ray.data.from_items([{"k": i, "r": i * 10} for i in range(5)])
-    a = hash_join(left, right, "k", how="inner").to_pandas()
-    b = hash_join(left, right, "k", how="inner", use_native=True).to_pandas()
-    ca = a.sort_values(["k", "l"]).reset_index(drop=True)[sorted(a.columns)]
-    cb = b.sort_values(["k", "l"]).reset_index(drop=True)[sorted(b.columns)]
-    assert ca.equals(cb)
-
-
 def test_catchments_hive_partitioned_roundtrip(ray_session, smoke_dirs, tmp_path):
     """Reference S6 parity for the vector side: the catalog written
     hive-partitioned by h3_index (load.py:279-283 PARTITION_BY) and
@@ -349,6 +333,44 @@ def test_hash_join_salt_hot_matches_and_spreads(ray_session):
         spread = {int((h0 + np.uint64(s) * GOLD) % np.uint64(64))
                   for s in range(8)}
     assert len(spread) >= 6  # distinct salted buckets for the hot key
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "full"])
+@pytest.mark.parametrize("empty_side", ["left", "right"])
+def test_hash_join_one_empty_side_matches_pandas_merge(ray_session, how,
+                                                       empty_side):
+    """A zero-row side still co-groups: inner gives nothing, and the
+    outer joins keep the other side's rows with nulls, as pandas.merge
+    does. Column lists are passed explicitly, as callers with a
+    possibly-empty side must."""
+    import pandas as pd
+    import ray.data
+
+    from hand_index_ray.relational import hash_join
+
+    lt = pa.table({"k": pa.array([i % 5 for i in range(40)], pa.int64()),
+                   "l": pa.array(range(40), pa.int64())})
+    rt = pa.table({"k": pa.array(range(3, 8), pa.int64()),
+                   "r": pa.array([10 * i for i in range(3, 8)], pa.int64())})
+    if empty_side == "left":
+        lt = lt.slice(0, 0)
+    else:
+        rt = rt.slice(0, 0)
+    got = hash_join(ray.data.from_arrow(lt), ray.data.from_arrow(rt), "k",
+                    how=how, left_cols=["k", "l"],
+                    right_cols=["k", "r"]).to_pandas()
+    want = lt.to_pandas().merge(rt.to_pandas(), on="k",
+                                how={"full": "outer"}.get(how, how))
+
+    def rows(df):
+        return sorted(tuple(None if pd.isna(v) else int(v) for v in r)
+                      for r in df[["k", "l", "r"]].itertuples(index=False))
+
+    if len(want) == 0:
+        assert len(got) == 0
+    else:
+        assert list(got.columns) == ["k", "l", "r"]
+        assert rows(got) == rows(want)
 
 
 def test_hash_join_salt_hot_rejects_full(ray_session):

@@ -205,6 +205,40 @@ def test_zonal_join_matches_bruteforce(ray_session, index_dir, smoke_dirs,
     assert got == truth
 
 
+@pytest.mark.parametrize("catalog", ["all_miss", "zero_rows"])
+def test_zonal_join_empty_result_on_both_routes(ray_session, index_dir,
+                                                smoke_dirs, all_footprints,
+                                                tmp_path, catalog):
+    """A catalog whose polygons all miss the index, and a zero-row
+    catalog, give an empty (image_id, catchment_id) result on the
+    co-group route and on the broadcast route."""
+    from dataclasses import replace
+
+    import pyarrow as pa
+
+    from hand_index_ray.pipelines.query import zonal_join
+
+    src = pq.read_table(os.path.join(smoke_dirs["vector"], "catchments.parquet"))
+    if catalog == "zero_rows":
+        cat = src.slice(0, 0)
+    else:
+        # 0.1° boxes in the mid-Atlantic, far from every footprint
+        lon0 = -30.0 + 0.2 * np.arange(src.num_rows)
+        assert (all_footprints.maxx < -40.0).all()
+        x0, y0 = proj.lonlat_to_albers(lon0, np.full(src.num_rows, 40.0))
+        x1, y1 = proj.lonlat_to_albers(lon0 + 0.1, np.full(src.num_rows, 40.1))
+        boxes = wkb.encode_box(np.minimum(x0, x1), np.minimum(y0, y1),
+                               np.maximum(x0, x1), np.maximum(y0, y1))
+        cat = src.set_column(src.schema.get_field_index("geometry"), "geometry",
+                             pa.array(boxes, src.schema.field("geometry").type))
+    cpath = str(tmp_path / f"{catalog}.parquet")
+    pq.write_table(cat, cpath)
+    for cfg in (replace(CFG, zonal_broadcast_bytes=0), CFG):
+        pairs = zonal_join(index_dir, cpath, cfg).to_pandas()
+        assert len(pairs) == 0, cfg.zonal_broadcast_bytes
+        assert set(pairs.columns) <= {"image_id", "catchment_id"}
+
+
 def test_zonal_broadcast_path_has_no_shuffle(ray_session, index_dir, smoke_dirs):
     """Scale-design regression guard: the broadcast-regime zonal join
     must be a pure map pipeline — no all-to-all exchange operator

@@ -1,5 +1,5 @@
 #!/bin/bash
-# sf1 quiet-window campaign (VERDICT r2 item 1 + 8).
+# sf1 quiet-window campaign (VERDICT r2 item 1).
 # Loops a first-touch probe; when the window is quiet AND no other
 # Ray/pytest job is running, executes the campaign steps, re-probing
 # between steps. Appends one JSON line per step to CAMPAIGN_r3.jsonl.
@@ -50,16 +50,7 @@ for i in $(seq 1 2000); do
         BENCH_ARGS="--scaling" step sf1_scaling_c GRAFT_BENCH_N=150000 GRAFT_SCALING_REPS=1 || continue
         # 3. zonal scaling at sf1 scale (x8 -> 600k)
         BENCH_ARGS="--scaling-zonal" step sf1_zonal_scaling GRAFT_BENCH_N=75000 GRAFT_SCALING_REPS=2 || continue
-        # 4. join comparison (custom vs native) at sf0.1 and ~sf1
-        if ! grep -q '"step": "join_compare_sf01"' "$OUT" 2>/dev/null && probe_quiet; then
-            j1=$(python tools/join_compare.py /root/testdata/sf0.1 3 2>>"$LOG" | tail -1)
-            echo "{\"step\": \"join_compare_sf01\", \"ts\": \"$(date -Is)\", \"result\": $j1}" >> "$OUT"
-        fi
-        if ! grep -q '"step": "join_compare_sf1x"' "$OUT" 2>/dev/null && probe_quiet; then
-            j2=$(GRAFT_JOIN_MULT=10 python tools/join_compare.py /root/testdata/sf0.1 2 2>>"$LOG" | tail -1)
-            echo "{\"step\": \"join_compare_sf1x\", \"ts\": \"$(date -Is)\", \"result\": $j2}" >> "$OUT"
-        fi
-        # 5. largest build that fits shm (2.4M images)
+        # 4. largest build that fits shm (2.4M images)
         BENCH_ARGS="" step sf4_build_only GRAFT_BENCH_N=2400000 GRAFT_BENCH_BUILD_ONLY=1 RAY_GRAFT_CPUS=32
         echo "$(date -Is) campaign complete" >> "$LOG"
         exit 0
