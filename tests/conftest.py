@@ -1,5 +1,6 @@
 """Session-scoped Ray + shared synthetic fixtures for engine tests."""
 
+import gc
 import os
 import shutil
 
@@ -21,6 +22,23 @@ def ray_session():
         pass
     yield
     ray.shutdown()
+
+
+@pytest.fixture(autouse=True)
+def _collect_released_ray_actors():
+    """Ray Data retires a finished actor pool by dropping its handles
+    and lets reference counting end the actors; handles caught in a
+    reference cycle keep their actor, and its CPU, until the cyclic GC
+    runs. Four such actors hold every CPU of the 4-CPU session above,
+    and the next test's tasks then wait forever. Collecting after a
+    test that leaves CPUs held ends its actors before the next test
+    starts (a full collection costs ~0.1 s, so idle sessions skip it)."""
+    yield
+    import ray
+
+    if ray.is_initialized() and (ray.available_resources().get("CPU", 0)
+                                 < ray.cluster_resources().get("CPU", 0)):
+        gc.collect()
 
 
 @pytest.fixture(scope="session")
