@@ -323,8 +323,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return textops.exact_dedup(_t(sf, "documents"))
 
     def q21_langid(sf):  # text: language-ID (stopword-profile argmax, SQL oracle)
-        ds = _t(sf, "documents").map_batches(textops.LangId, batch_format="pyarrow",
-                                             concurrency=2)
+        ds = _t(sf, "documents").map_batches(textops.LangId(),
+                                             batch_format="pyarrow")
         return ds.select_columns(["doc_id", "lang_pred"])
 
     def q22_ann_topk(sf):  # ANN: brute-force cosine top-k
@@ -806,7 +806,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def q55_augment(sf):  # crop+flip augmentation, pixel sums SQL-exact
         """Deterministic augmentation (center crop to 16x12, flip when
-        key % 32 == 0) through the real actor-pool Augmenter; the
+        key % 32 == 0) through the real Augmenter task stage; the
         x-weighted sum is flip-sensitive so a wrong flip fails the
         oracle hash."""
         from hand_index_ray.pipelines.image_embed import augment_images
@@ -908,7 +908,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ["l_returnflag", "l_linestatus", "l_quantity", "l_discount"]
         ).map_batches(mk, batch_format="pyarrow", zero_copy_batch=True)
 
-    def q68_resize(sf):  # NN resize through the actor-pool Resizer (SQL oracle)
+    def q68_resize(sf):  # NN resize through the Resizer task stage (SQL oracle)
         """Nearest-neighbor thumbnail (24x32 → 10x14): the source-index
         gather sy=(y·24)//10, sx=(x·32)//14 is pure integer floor, so
         the oracle recomputes every output pixel; the x-weighted sum
@@ -2533,32 +2533,27 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import ray as _ray
         rects_ref = _ray.put((sup, rx0, ry0, rx0 + rw, ry0 + rh))
 
-        class PipJoin:
-            def __init__(self):
-                (self.s, self.x0, self.y0,
-                 self.x1, self.y1) = _ray.get(rects_ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                xi = t.column("xi").to_numpy()
-                yi = t.column("yi").to_numpy()
-                zi = t.column("zi").to_numpy()
-                ss, ns, zs = [], [], []
-                for j in range(len(self.s)):
-                    m = ((xi >= self.x0[j]) & (xi <= self.x1[j])
-                         & (yi >= self.y0[j]) & (yi <= self.y1[j]))
-                    if m.any():
-                        ss.append(int(self.s[j]))
-                        ns.append(int(m.sum()))
-                        zs.append(int(zi[m].sum()))
-                return pa.table({"s_suppkey": pa.array(ss, pa.int64()),
-                                 "n_pts": pa.array(ns, pa.int64()),
-                                 "zi": pa.array(zs, pa.int64())})
+        def pip_join(t: pa.Table) -> pa.Table:
+            s_, x0, y0, x1, y1 = _ray.get(rects_ref)
+            xi = t.column("xi").to_numpy()
+            yi = t.column("yi").to_numpy()
+            zi = t.column("zi").to_numpy()
+            ss, ns, zs = [], [], []
+            for j in range(len(s_)):
+                m = ((xi >= x0[j]) & (xi <= x1[j])
+                     & (yi >= y0[j]) & (yi <= y1[j]))
+                if m.any():
+                    ss.append(int(s_[j]))
+                    ns.append(int(m.sum()))
+                    zs.append(int(zi[m].sum()))
+            return pa.table({"s_suppkey": pa.array(ss, pa.int64()),
+                             "n_pts": pa.array(ns, pa.int64()),
+                             "zi": pa.array(zs, pa.int64())})
 
         ds = laslib.read_las(os.path.join(root, "tile_*.las"),
                              shard_points=1024)
         agg = rel.grouped_agg(
-            ds.map_batches(PipJoin, batch_format="pyarrow",
-                           concurrency=(1, 8)),
+            ds.map_batches(pip_join, batch_format="pyarrow"),
             ["s_suppkey"], sum_cols=["n_pts", "zi"], count=False)
         df = agg.to_pandas().rename(columns={"zi": "zi_sum"})
         return df[["s_suppkey", "n_pts", "zi_sum"]] \
@@ -6880,7 +6875,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from hand_index_ray.pipelines import text as textops
 
         ds = _t(sf, "documents").map_batches(
-            textops.LangId, batch_format="pyarrow", concurrency=2)
+            textops.LangId(), batch_format="pyarrow")
         return rel.grouped_agg(
             ds.select_columns(["lang", "lang_pred"]),
             ["lang", "lang_pred"], count=True)

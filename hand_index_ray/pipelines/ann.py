@@ -305,49 +305,6 @@ def ivf_query(index_dir: str, query: np.ndarray, k: int, nprobe: int = 4,
     return cosine_topk(ds, query, k, id_col=id_col, vec_col=vec_col)
 
 
-def ivf_topk(ds: ray.data.Dataset, query: np.ndarray, k: int, nlist: int = 16,
-             nprobe: int = 4, id_col: str = "vec_id",
-             vec_col: str = "embedding") -> pd.DataFrame:
-    """IVF-style approximate top-k WITHOUT a prebuilt index: k-means-lite
-    centroids from a sample, per-batch assignment, probe the ``nprobe``
-    nearest lists — the probe filter runs inside the same scan, so this
-    still reads every row (right for one-off queries). For repeated
-    queries use ``ivf_build``/``ivf_query`` below: the list id becomes
-    the physical partition key and a query READS only nprobe/nlist of
-    the data (driver query q37)."""
-    q = np.asarray(query, dtype=np.float64)
-    qn = q / np.linalg.norm(q)
-    sample = ds.limit(max(nlist * 32, 512)).to_pandas()
-    m = np.stack(sample[vec_col].to_numpy()).astype(np.float64)
-    cent = _kmeans_lite(m, nlist)
-    cn = cent / np.linalg.norm(cent, axis=1, keepdims=True)
-    probes = set(np.argsort(-(cn @ qn))[:nprobe].tolist())
-    cent_ref = ray.put(cent)
-    q_ref = ray.put(qn)
-
-    def probe_scorer(t: pa.Table) -> pa.Table:
-        cent_ = ray.get(cent_ref)
-        qv = ray.get(q_ref)
-        m = _stack(t.column(vec_col))
-        if len(m) == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        d = ((m[:, None, :] - cent_[None, :, :]) ** 2).sum(axis=2)
-        assign = d.argmin(axis=1)
-        mask = np.isin(assign, list(probes))
-        m = m[mask]
-        ids = t.column(id_col).to_numpy()[mask]
-        norms = np.linalg.norm(m, axis=1)
-        sims = np.round((m @ qv) / np.where(norms == 0, 1.0, norms), SIM_DECIMALS)
-        order = np.lexsort((ids, -sims))[:k]
-        return pa.table({id_col: pa.array(ids[order]), "sim": pa.array(sims[order])})
-
-    parts = ds.map_batches(probe_scorer, batch_format="pyarrow",
-                           zero_copy_batch=True).to_pandas()
-    return (parts.sort_values(["sim", id_col], ascending=[False, True], kind="stable")
-            .head(k).reset_index(drop=True))
-
-
 _KNN_EMPTY = pa.schema([("src", pa.int64()), ("rank", pa.int64()),
                         ("dst", pa.int64()), ("sim_micro", pa.int64())])
 # sentinel for self matches; must survive the -micro negation used in

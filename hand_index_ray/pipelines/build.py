@@ -62,21 +62,6 @@ def list_fragments(images_dir: str, filesystem=None) -> list[str]:
     )
 
 
-def pool_size(requested: "int | tuple[int, int]") -> "int | tuple[int, int]":
-    """Clamp an actor-pool size so it never reserves every cluster CPU —
-    a pool that takes all slots starves the upstream read tasks and can
-    deadlock the streaming executor (observed at num_cpus=4 with a
-    4-actor pool)."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    cap = max(1, cpus - 1)
-    if isinstance(requested, tuple):
-        return (min(requested[0], cap), min(requested[1], cap))
-    return min(requested, cap)
-
-
 def footprint_dataset(source: "str | list[str] | ray.data.Dataset",
                       cfg: EngineConfig = DEFAULT) -> ray.data.Dataset:
     """images table → footprint+cells Dataset (lazy, streaming)."""

@@ -1,11 +1,17 @@
-"""Image-embedding pipeline: decode → embed (actor pool) → ANN.
+"""Image-embedding pipeline: decode → embed → per-tile features.
 
-Bridges the image side to the similarity-search operators: an
-actor-pool ``map_batches`` stage that decodes tiles and emits an
-L2-normalized embedding per row (the batched-model-inference shape —
-a real model would load in ``__init__`` exactly where the deterministic
-embedder sits), plus duplicate-tile detection over those embeddings
-reusing pipelines/ann.py.
+Bridges the image side to the similarity-search operators: a
+``map_batches`` stage that decodes tiles and emits an L2-normalized
+embedding per row (the batched-model-inference shape), plus exact
+duplicate tiles by decoded-pixel digest and per-tile augment, resize
+and pixel-statistics stages.
+
+Every stage here runs as plain Ray tasks. The callable classes
+(``TileEmbedder``, ``Augmenter``, ``Resizer``) hold only their
+constructor parameters, so each map passes an *instance* that pickles
+with the task, as ``build.FragmentBuilder`` does. A stage that loads
+real state once (model weights) would instead pass the class and a
+pool size, and run as an actor pool.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ from ..kernels import image as imk
 
 
 class TileEmbedder:
-    """Actor-pool stage: bytes → embedding (list<float64>).
+    """Task stage: bytes → embedding (list<float64>).
 
-    ``__init__`` is where a real model (ONNX/torch) would load once per
-    actor; here the deterministic block-feature embedder needs no
-    weights but keeps the exact signature and batch contract."""
+    The deterministic block-feature embedder needs no weights, so an
+    instance is mapped as a plain task. A real model (ONNX/torch) would
+    load in ``__init__`` and be mapped as a class on an actor pool, so
+    it loads once per actor."""
 
     def __init__(self, grid: int = 4):
         self.grid = grid
@@ -52,16 +59,13 @@ def embed_images(source: "str | ray.data.Dataset", grid: int = 4,
     """images table → (image_id, embedding) Dataset."""
     from .build import list_fragments
 
-    from .build import pool_size
-
     if isinstance(source, ray.data.Dataset):
         ds = source
     else:
         ds = ray.data.read_parquet(list_fragments(source))
-    return ds.map_batches(TileEmbedder, fn_constructor_args=(grid,),
-                          batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+    return ds.map_batches(TileEmbedder(grid), batch_format="pyarrow",
+                          zero_copy_batch=True,
+                          batch_size=cfg.decode_batch_size)
 
 
 def exact_tile_dups(source: "str | ray.data.Dataset",
@@ -116,37 +120,8 @@ def exact_tile_dups(source: "str | ray.data.Dataset",
     return grouped_apply_bucketed(slim, ["pxd"], pairs, min_group_size=2)
 
 
-def duplicate_tiles(source: "str | ray.data.Dataset", threshold: float = 0.9999,
-                    cfg: EngineConfig = DEFAULT) -> pd.DataFrame:
-    """Near-duplicate tile pairs by embedding cosine (LSH buckets +
-    exact verify) — the image-payload analog of document dedup.
-    Returns Dataset[(id_a, id_b, sim)] with string tile ids (streamed;
-    the pair set never lands on the driver)."""
-    from .ann import dup_pairs
-
-    emb = embed_images(source, cfg=cfg)
-
-    # ann.dup_pairs keys on an integer id column; map image ids
-    def add_int_id(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        idx = pc.cast(pc.utf8_slice_codeunits(t.column("image_id"), 4, 99), pa.int64())
-        return t.append_column("vec_id", idx)
-
-    with_ids = emb.map_batches(add_int_id, batch_format="pyarrow")
-    pairs = dup_pairs(with_ids, threshold=threshold)
-
-    def to_tile_ids(t: pa.Table) -> pa.Table:
-        a = [f"img-{int(i):09d}" for i in t.column("id_a").to_pylist()]
-        b = [f"img-{int(i):09d}" for i in t.column("id_b").to_pylist()]
-        out = t.set_column(t.schema.get_field_index("id_a"), "id_a", pa.array(a, pa.string()))
-        return out.set_column(out.schema.get_field_index("id_b"), "id_b", pa.array(b, pa.string()))
-
-    return pairs.map_batches(to_tile_ids, batch_format="pyarrow")
-
-
 class Augmenter:
-    """Actor-pool stage: decode → center-crop → deterministic flip →
+    """Task stage: decode → center-crop → deterministic flip →
     re-encode (or stats). The augmentation policy is a pure function of
     the image key (``flip_mod``), never a per-task RNG — reruns,
     retries and resumed runs produce identical bytes (the same
@@ -218,15 +193,13 @@ def augment_images(source: "str | ray.data.Dataset", crop_frac: float = 0.5,
                    flip_mod: int = 2, emit: str = "bytes",
                    cfg: EngineConfig = DEFAULT) -> ray.data.Dataset:
     """images table → augmented tiles (or exact per-tile stats)."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
-    return ds.map_batches(Augmenter,
-                          fn_constructor_args=(crop_frac, flip_mod, emit),
+    return ds.map_batches(Augmenter(crop_frac, flip_mod, emit),
                           batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def channel_stats(source: "str | ray.data.Dataset",
@@ -236,7 +209,7 @@ def channel_stats(source: "str | ray.data.Dataset",
     sum / sum-of-squares / count per channel. Per-batch partials are
     3 rows each — the reduce is driver-side and O(channels), the same
     shuffle-free mergeable shape as approx_distinct."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
@@ -262,8 +235,7 @@ def channel_stats(source: "str | ray.data.Dataset",
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True,
-                           batch_size=cfg.decode_batch_size,
-                           concurrency=pool_size(cfg.encode_concurrency))
+                           batch_size=cfg.decode_batch_size)
     df = parts.to_pandas()
     if not len(df):
         return pd.DataFrame({"c": pd.Series([], dtype="int64"),
@@ -275,7 +247,7 @@ def channel_stats(source: "str | ray.data.Dataset",
 
 
 class Resizer:
-    """Actor-pool stage: decode → nearest-neighbor resize → re-encode
+    """Task stage: decode → nearest-neighbor resize → re-encode
     (or exact stats). The NN gather (``kernels.image.resize_nearest``)
     is the dataloader-style thumbnail path; ``emit="stats"`` returns
     exact integer pixel sums plus the x-weighted sum so a wrong source
@@ -325,14 +297,13 @@ def resize_images(source: "str | ray.data.Dataset", out_h: int, out_w: int,
                   emit: str = "bytes",
                   cfg: EngineConfig = DEFAULT) -> ray.data.Dataset:
     """images table → NN-resized thumbnails (or exact per-image stats)."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
-    return ds.map_batches(Resizer, fn_constructor_args=(out_h, out_w, emit),
+    return ds.map_batches(Resizer(out_h, out_w, emit),
                           batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def patch_grid_stats(source: "str | ray.data.Dataset", patch_h: int,
@@ -344,7 +315,7 @@ def patch_grid_stats(source: "str | ray.data.Dataset", patch_h: int,
     happens inside the batch (map-only, no shuffle), patch sums come
     from two reduceat passes per image, and downstream per-patch
     dedup/stats see slim rows, never pixels."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
@@ -380,8 +351,7 @@ def patch_grid_stats(source: "str | ray.data.Dataset", patch_h: int,
         })
 
     return ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def _decode_rows(t: pa.Table):
@@ -404,9 +374,9 @@ def sobel_stats(source: "str | ray.data.Dataset", channel: int = 0,
 
     The convolution is pure shifted-slice arithmetic on the decoded
     array (map-only, one row out per image); at 100 TB the stage
-    streams with the decode actor pool and never shuffles.
+    streams as decode tasks and never shuffles.
     """
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
@@ -429,8 +399,7 @@ def sobel_stats(source: "str | ray.data.Dataset", channel: int = 0,
                          "g_max": pa.array(g_max, pa.int64())})
 
     return ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def box_blur_stats(source: "str | ray.data.Dataset", channel: int = 0,
@@ -441,7 +410,7 @@ def box_blur_stats(source: "str | ray.data.Dataset", channel: int = 0,
     image per image (two cumsums + four gathers), not nine shifted
     adds — the O(1)-per-pixel box-filter shape that stays cheap at any
     kernel size."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
@@ -468,8 +437,7 @@ def box_blur_stats(source: "str | ray.data.Dataset", channel: int = 0,
                          "bb_xw": pa.array(b_xw, pa.int64())})
 
     return ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def luma_histogram(source: "str | ray.data.Dataset",
@@ -480,7 +448,7 @@ def luma_histogram(source: "str | ray.data.Dataset",
     tiny grouped sum — the same shuffle-free mergeable-partial shape as
     channel_stats, so the histogram costs one streaming pass at any
     corpus size."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
     from .. import relational as rel
 
     ds = source if isinstance(source, ray.data.Dataset) else \
@@ -498,8 +466,7 @@ def luma_histogram(source: "str | ray.data.Dataset",
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True,
-                           batch_size=cfg.decode_batch_size,
-                           concurrency=pool_size(cfg.encode_concurrency))
+                           batch_size=cfg.decode_batch_size)
     out = rel.grouped_agg(parts, ["lum"], sum_cols=["n_px"], count=False) \
         .to_pandas()
     return out.sort_values("lum").reset_index(drop=True)
@@ -515,9 +482,9 @@ def morph_stats(source: "str | ray.data.Dataset", channel: int = 0,
 
     Same execution shape as sobel_stats: the min/max over the 9
     shifted slices is pure vectorized numpy on the decoded array,
-    map-only, one row out per image; at 100 TB the stage streams with
-    the decode actor pool and never shuffles."""
-    from .build import list_fragments, pool_size
+    map-only, one row out per image; at 100 TB the stage streams as
+    decode tasks and never shuffles."""
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
@@ -538,8 +505,7 @@ def morph_stats(source: "str | ray.data.Dataset", channel: int = 0,
                          "e_sum": pa.array(e_sum, pa.int64())})
 
     return ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def otsu_threshold(source: "str | ray.data.Dataset", channel: int = 0,
@@ -554,7 +520,7 @@ def otsu_threshold(source: "str | ray.data.Dataset", channel: int = 0,
 
     Map-only decode-pool stage; one (image_id, otsu_t) row per image.
     """
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
@@ -580,8 +546,7 @@ def otsu_threshold(source: "str | ray.data.Dataset", channel: int = 0,
                          "otsu_t": pa.array(th, pa.int64())})
 
     return ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def dominant_levels(source: "str | ray.data.Dataset", k: int = 3,
@@ -591,7 +556,7 @@ def dominant_levels(source: "str | ray.data.Dataset", k: int = 3,
     (77R + 150G + 29B) >> 8 per pixel (the luma_histogram kernel),
     then a vectorized bincount and a (count desc, level asc) top-k —
     map-only decode-pool stage, k rows out per image."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
@@ -617,8 +582,7 @@ def dominant_levels(source: "str | ray.data.Dataset", k: int = 3,
                          "rank": pa.array(out_r, pa.int64())})
 
     return ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def equalize_stats(source: "str | ray.data.Dataset", channel: int = 0,
@@ -628,7 +592,7 @@ def equalize_stats(source: "str | ray.data.Dataset", channel: int = 0,
     the classic contrast-normalization LUT, all-integer so the oracle
     recomputes it from cumulative counts. Emits the equalized pixel
     sum per image (the LUT gather itself is np take — map-only)."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
@@ -651,8 +615,7 @@ def equalize_stats(source: "str | ray.data.Dataset", channel: int = 0,
                          "eq_sum": pa.array(out, pa.int64())})
 
     return ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def haar_stats(source: "str | ray.data.Dataset", channel: int = 0,
@@ -674,7 +637,7 @@ def haar_stats(source: "str | ray.data.Dataset", channel: int = 0,
     Scale: map-only (one row out per image), rides the decode actor
     pool; wavelet energy never shuffles. Reference analog: the raster
     stats family (/root/reference/load.py raster summaries)."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
 
     ds = source if isinstance(source, ray.data.Dataset) else \
         ray.data.read_parquet(list_fragments(source))
@@ -709,8 +672,7 @@ def haar_stats(source: "str | ray.data.Dataset", channel: int = 0,
         return pa.table(out)
 
     return ds.map_batches(stats, batch_format="pyarrow", zero_copy_batch=True,
-                          batch_size=cfg.decode_batch_size,
-                          concurrency=pool_size(cfg.encode_concurrency))
+                          batch_size=cfg.decode_batch_size)
 
 
 def dhash_counts(source: "str | ray.data.Dataset", channel: int = 0,
@@ -727,7 +689,7 @@ def dhash_counts(source: "str | ray.data.Dataset", channel: int = 0,
     into a tiny grouped sum — the same shuffle-free shape as
     ``luma_histogram``; bucket joins downstream use the hash as the
     equi-join key."""
-    from .build import list_fragments, pool_size
+    from .build import list_fragments
     from .. import relational as rel
 
     ds = source if isinstance(source, ray.data.Dataset) else \
@@ -746,8 +708,7 @@ def dhash_counts(source: "str | ray.data.Dataset", channel: int = 0,
         return pa.table({"dhash": pa.array(out, pa.int64())})
 
     hs = ds.map_batches(hashes, batch_format="pyarrow", zero_copy_batch=True,
-                        batch_size=cfg.decode_batch_size,
-                        concurrency=pool_size(cfg.encode_concurrency))
+                        batch_size=cfg.decode_batch_size)
     return rel.grouped_agg(hs, ["dhash"], count=True)
 
 

@@ -902,12 +902,12 @@ _ZONAL_OUT = pa.schema([("image_id", pa.string()), ("catchment_id", pa.string())
 
 
 class ZonalBroadcastJoiner:
-    """Actor-pool map stage of the broadcast spatial join: the
-    broadcast catalog (flat numpy arrays) is fetched ONCE per actor in
-    __init__ as zero-copy plasma views, and each catchment's
-    PreparedPolygon is materialized at most once per actor as pure
-    ARRAY VIEWS into the shared catalog — no pickle bytes anywhere, so
-    actor init cost no longer multiplies with pool size (the r2
+    """Per-worker state of the broadcast spatial join's task map
+    (``_zonal_join_broadcast_map`` caches one per worker process): the
+    broadcast catalog (flat numpy arrays) is fetched ONCE in __init__
+    as zero-copy plasma views, and each catchment's PreparedPolygon is
+    materialized at most once per worker as pure ARRAY VIEWS into the
+    shared catalog — no pickle bytes anywhere (the r2
     per-(catchment,batch) unpickle fix, upgraded in r3 after the
     4→16-CPU scaling probe showed per-actor deserialization
     serializing the join)."""

@@ -95,7 +95,7 @@ def quality_score(ds: ray.data.Dataset, col: str = "text") -> ray.data.Dataset:
 
 
 class LangId:
-    """Actor-pool language-ID stage: stopword-profile scoring with a
+    """Language-ID stage: stopword-profile scoring with a
     deterministic argmax, fully vectorized (flatten + is_in +
     segment-sum per profile; no per-row Python loop).
 
@@ -870,45 +870,6 @@ def _winnow_sets(t: pa.Table, col: str, id_col: str, k: int, w: int):
     udoc = (combo >> np.uint64(31)).astype(np.int64)
     ufp = (combo & np.uint64(0x7FFFFFFF)).astype(np.int64)
     return ids, udoc, ufp, ndoc
-
-
-def winnow_dup_candidates(ds: ray.data.Dataset, col: str = "text",
-                          id_col: str = "doc_id", k: int = 8,
-                          w: int = 4) -> ray.data.Dataset:
-    """Candidate near-dup pairs = docs sharing >= 1 winnowing
-    fingerprint, with the shared-fingerprint count as evidence.
-
-    The map side emits slim (fp, doc_id) rows (fingerprints only —
-    text never moves); one groupby-on-fp shuffle forms the posting
-    lists; pairs are emitted per fingerprint and combined by a second
-    slim (id_a, id_b) count. Hot fingerprints (boilerplate shared by
-    many docs) are capped at ``max_postings`` docs — a fingerprint
-    shared by thousands of docs identifies boilerplate, not a dup pair
-    (same reasoning as dropping giant LSH buckets)."""
-    max_postings = 64
-
-    def explode(t: pa.Table) -> pa.Table:
-        ids, udoc, ufp, ndoc = _winnow_sets(t, col, id_col, k, w)
-        return pa.table({"fp": pa.array(ufp, pa.int64()),
-                         id_col: pa.array(ids[udoc] if ndoc else ids[:0],
-                                          pa.int64())})
-
-    exploded = ds.select_columns([id_col, col]).map_batches(
-        explode, batch_format="pyarrow", zero_copy_batch=True)
-
-    def pairs_in_group(g: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(g[id_col].to_numpy())
-        if len(ids) < 2 or len(ids) > max_postings:
-            return pd.DataFrame({"id_a": pd.Series([], dtype=np.int64),
-                                 "id_b": pd.Series([], dtype=np.int64)})
-        iu, ju = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame({"id_a": ids[iu], "id_b": ids[ju]})
-
-    from ..relational import grouped_agg_hash, grouped_apply_bucketed
-    pairs = grouped_apply_bucketed(exploded, ["fp"], pairs_in_group,
-                                   min_group_size=2)
-    return grouped_agg_hash(pairs, ["id_a", "id_b"], count=True)
-
 
 
 def normalize_text(ds: ray.data.Dataset, col: str = "text",

@@ -100,17 +100,13 @@ def broadcast_join(big: ray.data.Dataset, small: pa.Table, keys: list[str] | str
     ref = ray.put(small)
     keys = [keys] if isinstance(keys, str) else list(keys)
 
-    class Joiner:
-        def __init__(self):
-            self.small = ray.get(ref)
+    jt = {"inner": "inner", "left": "left outer"}.get(join_type, join_type)
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            jt = {"inner": "inner", "left": "left outer"}.get(join_type, join_type)
-            return t.join(self.small, keys=keys, join_type=jt,
-                          right_suffix=small_prefix or None)
+    def join(t: pa.Table) -> pa.Table:
+        return t.join(ray.get(ref), keys=keys, join_type=jt,
+                      right_suffix=small_prefix or None)
 
-    return big.map_batches(Joiner, batch_format="pyarrow", zero_copy_batch=True,
-                           concurrency=(1, 8))
+    return big.map_batches(join, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
@@ -648,17 +644,9 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset,
         return out
 
     if broadcast_right is not None:
-        ref = ray.put(broadcast_right)
-
-        class AsofBroadcast:
-            def __init__(self):
-                self.rdf = ray.get(ref).to_pandas()
-
-            def __call__(self, ldf: pd.DataFrame) -> pd.DataFrame:
-                return merge(ldf, self.rdf)
-
-        return left.map_batches(AsofBroadcast, batch_format="pandas",
-                                concurrency=(1, 8))
+        ref = ray.put(broadcast_right.to_pandas())
+        return left.map_batches(lambda ldf: merge(ldf, ray.get(ref)),
+                                batch_format="pandas")
 
     lcols = list(left.schema().names)
     rschema = getattr(right.schema(), "base_schema", right.schema())
@@ -728,17 +716,9 @@ def range_join(left: ray.data.Dataset, right: ray.data.Dataset,
         return out[m].reset_index(drop=True)
 
     if broadcast_right is not None:
-        ref = ray.put(broadcast_right)
-
-        class RangeBroadcast:
-            def __init__(self):
-                self.rdf = ray.get(ref).to_pandas()
-
-            def __call__(self, ldf: pd.DataFrame) -> pd.DataFrame:
-                return in_bucket_join(ldf, self.rdf)
-
-        return left.map_batches(RangeBroadcast, batch_format="pandas",
-                                concurrency=(1, 8))
+        ref = ray.put(broadcast_right.to_pandas())
+        return left.map_batches(lambda ldf: in_bucket_join(ldf, ray.get(ref)),
+                                batch_format="pandas")
 
     if bucket_width_us is None:
         bucket_width_us = int(right.map_batches(
@@ -936,28 +916,24 @@ def bloom_prefilter(big: ray.data.Dataset, key: str, words: np.ndarray,
     on the survivors for exactness."""
     ref = ray.put(words)
 
-    class Filt:
-        def __init__(self):
-            self.words = ray.get(ref)
+    def filt(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return t
+        words_ = ray.get(ref)
+        is_int = pa.types.is_integer(t.column(key).type)
+        h1 = _bucket_hash(
+            t.column(key).to_numpy() if is_int
+            else t.column(key).to_pylist(), is_int)
+        pos = _bloom_positions(h1, num_bits, k).reshape(k, -1)
+        hit = np.ones(t.num_rows, dtype=bool)
+        for i in range(k):
+            p = pos[i]
+            bits = (words_[(p >> np.uint64(6)).astype(np.int64)]
+                    >> (p & np.uint64(63))) & np.uint64(1)
+            hit &= bits.astype(bool)
+        return t.filter(pa.array(hit))
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if not t.num_rows:
-                return t
-            is_int = pa.types.is_integer(t.column(key).type)
-            h1 = _bucket_hash(
-                t.column(key).to_numpy() if is_int
-                else t.column(key).to_pylist(), is_int)
-            pos = _bloom_positions(h1, num_bits, k).reshape(k, -1)
-            hit = np.ones(t.num_rows, dtype=bool)
-            for i in range(k):
-                p = pos[i]
-                bits = (self.words[(p >> np.uint64(6)).astype(np.int64)]
-                        >> (p & np.uint64(63))) & np.uint64(1)
-                hit &= bits.astype(bool)
-            return t.filter(pa.array(hit))
-
-    return big.map_batches(Filt, batch_format="pyarrow", zero_copy_batch=True,
-                           concurrency=(1, 8))
+    return big.map_batches(filt, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1419,23 +1395,19 @@ def band_join(big: ray.data.Dataset, bins: pa.Table, value_col: str,
     payload = {c: bins[c].to_numpy(zero_copy_only=False) for c in label_cols}
     ref = ray.put((lows, highs, payload))
 
-    class Bander:
-        def __init__(self):
-            self.lows, self.highs, self.payload = ray.get(ref)
+    def band(t: pa.Table) -> pa.Table:
+        lows_, highs_, payload_ = ray.get(ref)
+        v = t[value_col].to_numpy()
+        idx = np.searchsorted(lows_, v, side="right") - 1
+        ok = (idx >= 0) & (v < highs_[np.clip(idx, 0, None)])
+        idx = idx[ok]
+        t = t.filter(pa.array(ok))
+        cols = {c: t[c] for c in t.column_names}
+        for c, arr in payload_.items():
+            cols[c] = pa.array(arr[idx])
+        return pa.table(cols)
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            v = t[value_col].to_numpy()
-            idx = np.searchsorted(self.lows, v, side="right") - 1
-            ok = (idx >= 0) & (v < self.highs[np.clip(idx, 0, None)])
-            idx = idx[ok]
-            t = t.filter(pa.array(ok))
-            cols = {c: t[c] for c in t.column_names}
-            for c, arr in self.payload.items():
-                cols[c] = pa.array(arr[idx])
-            return pa.table(cols)
-
-    return big.map_batches(Bander, batch_format="pyarrow", zero_copy_batch=True,
-                           concurrency=(1, 8))
+    return big.map_batches(band, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def grouped_arg_extreme(ds: ray.data.Dataset, keys: list[str], order: str,
@@ -3367,21 +3339,17 @@ def cdf_rank_join(ds: ray.data.Dataset, value: str,
     ref = np.sort(np.asarray(ref_sorted))
     ref_ref = ray.put(ref)
 
-    class Ranker:
-        def __init__(self):
-            self.ref = ray.get(ref_ref)
+    def rank(t: pa.Table) -> pa.Table:
+        ref_ = ray.get(ref_ref)
+        v = t.column(value).to_numpy()
+        le = np.searchsorted(ref_, v, side="right")
+        return t.append_column(
+            "rank_le", pa.array(le.astype(np.int64), pa.int64())) \
+            .append_column("n_ref",
+                           pa.array(np.full(len(v), len(ref_), np.int64),
+                                    pa.int64()))
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            v = t.column(value).to_numpy()
-            le = np.searchsorted(self.ref, v, side="right")
-            return t.append_column(
-                "rank_le", pa.array(le.astype(np.int64), pa.int64())) \
-                .append_column("n_ref",
-                               pa.array(np.full(len(v), len(self.ref),
-                                                np.int64), pa.int64()))
-
-    return ds.map_batches(Ranker, batch_format="pyarrow",
-                          zero_copy_batch=True, concurrency=(1, 8))
+    return ds.map_batches(rank, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def sliding_max(ds: ray.data.Dataset, key: str, order: str, value: str,
@@ -3465,22 +3433,18 @@ def audience_overlap(ds: ray.data.Dataset, key: str,
     cmap = {c: i for i, c in enumerate(cats)}
     cref = ray.put(cmap)
 
-    class Mask(object):
-        def __init__(self):
-            self.cmap = ray.get(cref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            k = t.column(key).to_numpy()
-            bits = np.array([1 << self.cmap[c]
-                             for c in t.column(cat).to_pylist()],
-                            np.int64)
-            df = pd.DataFrame({key: k, "b": bits}) \
-                .groupby(key, as_index=False)["b"] \
-                .agg(lambda s: np.bitwise_or.reduce(s.to_numpy()))
-            return pa.Table.from_pandas(df, preserve_index=False)
+    def mask(t: pa.Table) -> pa.Table:
+        cmap_ = ray.get(cref)
+        k = t.column(key).to_numpy()
+        bits = np.array([1 << cmap_[c] for c in t.column(cat).to_pylist()],
+                        np.int64)
+        df = pd.DataFrame({key: k, "b": bits}) \
+            .groupby(key, as_index=False)["b"] \
+            .agg(lambda s: np.bitwise_or.reduce(s.to_numpy()))
+        return pa.Table.from_pandas(df, preserve_index=False)
 
     partial = ds.select_columns([key, cat]).map_batches(
-        Mask, batch_format="pyarrow", concurrency=(1, 8))
+        mask, batch_format="pyarrow")
 
     def orfold(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(key, as_index=False)["b"].agg(

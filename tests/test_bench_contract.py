@@ -6,6 +6,8 @@ imports every name ``perfbench/{workloads,checks,fixtures}.py`` import
 from ``hand_index_ray`` and binds each call shape they use against the
 real signatures (``inspect.signature(...).bind``), so a renamed or
 dropped keyword fails here, in seconds, instead of in a benchmark run.
+The layer ledger's direct calls, made only by ``--trace 1`` runs, are
+run once on a tiny table.
 """
 import dataclasses
 import inspect
@@ -45,8 +47,8 @@ def test_perfbench_imports_resolve():
         proj: ["albers_to_lonlat"],
         s2: ["lonlat_to_cell", "parent"],
         wkb: ["Ragged", "decode", "from_parts"],
-        Manifest: ["all_files", "files_for_bbox", "compaction",
-                   "compaction_full", "records"],
+        Manifest: ["all_files", "files_for_bbox", "files_for_cells",
+                   "compaction", "compaction_full", "records"],
     }
     missing = [f"{getattr(m, '__name__', m)}.{a}" for m, names in used.items()
                for a in names if not hasattr(m, a)]
@@ -88,3 +90,56 @@ def test_engine_config_fields_perfbench_reads(field):
 
     assert field in {f.name for f in dataclasses.fields(EngineConfig)}
     assert getattr(EngineConfig(), field) is not None
+
+
+def test_perfbench_traced_ledger_calls_run(tmp_path):
+    """Only ``--trace 1`` runs execute the ledger's direct layer calls
+    (``_ledger_build_layers``, ``_ledger_lookups``); run each of them
+    once here, on two tiny fragments, the way the ledger makes them."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from hand_index_ray.config import EngineConfig
+    from hand_index_ray.kernels import s2
+    from hand_index_ray.pipelines.build import list_fragments
+    from hand_index_ray.sources import synth
+    from hand_index_ray.stages.encode import (CellEncoder, decode_images,
+                                              derive_footprints)
+    from hand_index_ray.state.fsio import FS
+    from hand_index_ray.state.manifest import (FragmentRecord, Manifest,
+                                               PartitionStat)
+
+    cfg = EngineConfig()
+    images = str(tmp_path / "images")
+    synth.write_images(images, n=8, fragments=2)
+    paths = list_fragments(images)
+    assert len(paths) == 2
+    tbl = pq.read_table(paths[0], use_threads=False)
+    chunk = decode_images(tbl.slice(0, cfg.decode_batch_size))
+    assert "decode_ok" in chunk.column_names
+    chunk = derive_footprints(chunk, cfg.footprint_formula)
+    out = CellEncoder(cfg)(chunk)
+    cells = s2.parent(out.column("part_cell").to_numpy().astype(np.uint64),
+                      cfg.part_level)
+    cell = int(cells[0])
+
+    index = str(tmp_path / "index")
+    io = FS()
+    rel = FS.join(f"cell={cell}", "frag-000000.parquet")
+    dest = FS.join(index, rel)
+    io.write_parquet_atomic(dest, out.filter(pa.array(cells == np.uint64(cell))))
+    size = io.size(dest)
+    assert size > 0
+
+    Manifest.write_record(FS.join(index, "_manifest"), FragmentRecord(
+        fragment_id=0, input_path=paths[0], row_count=out.num_rows,
+        partitions=[PartitionStat(cell=cell, path=rel, row_count=out.num_rows,
+                                  bytes=size, minx=-180.0, miny=-90.0,
+                                  maxx=180.0, maxy=90.0)]))
+    man = Manifest(index)
+    assert man.files_for_cells(index, {cell}) == [dest]
+    assert man.files_for_bbox(index, -1.0, -1.0, 1.0, 1.0) == [dest]
+    rec, = man.records()
+    assert rec.fragment_id == 0
+    assert [p.bytes for p in rec.partitions] == [size]
