@@ -62,6 +62,13 @@ def list_fragments(images_dir: str, filesystem=None) -> list[str]:
     )
 
 
+def _cluster_cpus(default: int = 8) -> int:
+    try:
+        return int(ray.cluster_resources().get("CPU", default))
+    except Exception:
+        return default
+
+
 def footprint_dataset(source: "str | list[str] | ray.data.Dataset",
                       cfg: EngineConfig = DEFAULT) -> ray.data.Dataset:
     """images table → footprint+cells Dataset (lazy, streaming)."""
@@ -81,10 +88,7 @@ def footprint_dataset(source: "str | list[str] | ray.data.Dataset",
     # following actor-pool stage, so the pool size caps the WHOLE
     # decode pipeline — autoscale it to the cluster (leaving headroom
     # for the read) instead of a fixed small pool
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
+    cpus = _cluster_cpus()
     lo = min(cfg.encode_concurrency if isinstance(cfg.encode_concurrency, int)
              else cfg.encode_concurrency[0], max(1, cpus - 1))
     hi = max(lo, cpus - 2) if cpus > 3 else lo
@@ -157,7 +161,7 @@ class FragmentBuilder:
             nrows = 0
             if out is not None and out.num_rows:
                 nrows = out.num_rows
-                cells = out.column("part_cell").to_numpy().astype(np.uint64)
+                fine = cells = out.column("part_cell").to_numpy().astype(np.uint64)
                 # adaptive physical partitioning: coarsen the write key
                 # until this fragment emits ≤ max_files_per_fragment files
                 # (row `part_cell` column keeps the configured level; only
@@ -171,6 +175,7 @@ class FragmentBuilder:
                     cells = s2k.parent(cells, level)
                 order = np.argsort(cells, kind="stable")
                 sorted_cells = cells[order]
+                sorted_fine = fine[order]
                 bounds = np.flatnonzero(np.diff(sorted_cells)) + 1
                 starts = np.concatenate([[0], bounds])
                 ends = np.concatenate([bounds, [len(cells)]])
@@ -189,6 +194,7 @@ class FragmentBuilder:
                         miny=float(pc.min(sub.column("miny")).as_py()),
                         maxx=float(pc.max(sub.column("maxx")).as_py()),
                         maxy=float(pc.max(sub.column("maxy")).as_py()),
+                        fine_cells=np.unique(sorted_fine[s:e]).tolist(),
                     ))
             Manifest.write_record(self.manifest_dir, FragmentRecord(
                 fragment_id=fid, input_path=path, row_count=nrows,
@@ -316,54 +322,77 @@ def compact_index(index_dir: str, cfg: EngineConfig = DEFAULT,
     per-fragment lineage records untouched — resume still keys off
     fragment completeness (state/manifest.py docstring).
 
+    The plan comes from the manifest alone: each build partition
+    records the fine cells its file holds (``PartitionStat.fine_cells``)
+    and each earlier compaction part is one fine cell, so no file is
+    read before the merge. Only partitions recorded without
+    ``fine_cells`` (legacy records) go through ``_distinct_part_cells``.
+    Each file group is read once, sorted once by (part_cell, s2_cell)
+    and sliced per fine cell; the groups are packed into at most two
+    tasks per cluster CPU, largest recorded bytes first.
+
     Idempotent and kill-safe: merged files are written tmp+rename and
     the compaction record is written last; a killed compaction leaves
     the index serving from the original fragment files.
     """
-    import numpy as np
+    import heapq
 
     from ..kernels import s2 as s2k
 
     man = Manifest(index_dir, filesystem=filesystem)
     prev_parts, covered, prev_gen = man.compaction_full()
     gen = prev_gen + 1
-    all_frag_ids = {r.fragment_id for r in man.records()}
-    if prev_parts and all_frag_ids <= covered:
+    records = man.records()
+    if prev_parts and {r.fragment_id for r in records} <= covered:
         # every fragment is already covered by the live compaction —
         # re-running would only rewrite identical files
         return {"cells": len(prev_parts), "files_merged": 0, "skipped": True}
-    recs = [r for r in man.records() if r.fragment_id not in covered]
-    live: list[tuple[int, str]] = [(p.cell, p.path) for p in prev_parts]
+    live: list[PartitionStat] = list(prev_parts)
     frag_ids: set[int] = set(covered)
-    for rec in recs:
-        frag_ids.add(rec.fragment_id)
-        live.extend((p.cell, p.path) for p in rec.partitions)
+    for rec in records:
+        if rec.fragment_id not in covered:
+            frag_ids.add(rec.fragment_id)
+            live.extend(rec.partitions)
     if not live:
         return {"cells": 0, "files_merged": 0}
 
     # target layout = one file per FINE cell at cfg.part_level: the
     # per-fragment adaptive coarsening (small fragments write coarser
-    # cells) is undone here using the `part_cell` COLUMN the rows carry,
+    # cells) is undone here using the fine cells each file holds,
     # restoring the configured pruning granularity index-wide
-    files = sorted({p for _c, p in live})
-    fine_cells = _distinct_part_cells(
-        [FS.join(index_dir, p) for p in files], filesystem)
-    src_cells = np.array([c for c, _p in live], dtype=np.uint64)
-    slo, shi = s2k.cell_range(src_cells)
-    flo, fhi = s2k.cell_range(fine_cells.astype(np.uint64))
-    # group fine cells by their SOURCE-FILE SET: a coarse source file
-    # covering 16 fine cells was previously opened 16 times (one merge
-    # task per cell) — one task per file-group reads each source once
-    # and slices out every fine cell it owns (6-7x less read work at
-    # 128 fragments; the group count still far exceeds core counts, so
-    # parallelism is preserved)
+    fine = {p.cell for p in prev_parts}
+    legacy = []
+    for p in live[len(prev_parts):]:
+        if p.fine_cells is None:
+            legacy.append(FS.join(index_dir, p.path))
+        else:
+            fine.update(p.fine_cells)
+    if legacy:
+        fine.update(_distinct_part_cells(legacy, filesystem).tolist())
+    fine_cells = np.array(sorted(fine), dtype=np.uint64)
+    slo, shi = s2k.cell_range(np.array([p.cell for p in live], dtype=np.uint64))
+    flo, fhi = s2k.cell_range(fine_cells)
+    # group fine cells by their SOURCE-FILE SET: a group reads each of
+    # its sources once and slices out every fine cell they hold
     groups: dict[tuple, list[int]] = {}
-    for j, fc in enumerate(fine_cells):
+    for j, fc in enumerate(fine_cells.tolist()):
         hit = (slo <= fhi[j]) & (flo[j] <= shi)
-        paths = tuple(sorted({live[i][1] for i in np.nonzero(hit)[0]}))
-        groups.setdefault(paths, []).append(int(fc))
-    work = [{"cells": [str(c) for c in cells], "paths": list(paths)}
-            for paths, cells in groups.items()]
+        paths = tuple(sorted({live[i].path for i in np.nonzero(hit)[0]}))
+        groups.setdefault(paths, []).append(fc)
+    # a task launch costs more than merging a small group: pack the
+    # groups into a few tasks, largest recorded bytes first, each onto
+    # the lightest task so far
+    nbytes = {p.path: p.bytes for p in live}
+    sized = sorted(((sum(nbytes[p] for p in paths), paths, cells)
+                    for paths, cells in groups.items()),
+                   key=lambda g: -g[0])
+    heap = [(0, t) for t in range(min(len(sized), 2 * _cluster_cpus(1)))]
+    work = [{"cells": [], "paths": []} for _ in heap]
+    for size, paths, cells in sized:
+        load, t = heapq.heappop(heap)
+        work[t]["cells"].append([str(c) for c in cells])
+        work[t]["paths"].append(list(paths))
+        heapq.heappush(heap, (load + size, t))
 
     def merge(batch: pa.Table) -> pa.Table:
         pa.set_cpu_count(1)
@@ -371,32 +400,39 @@ def compact_index(index_dir: str, cfg: EngineConfig = DEFAULT,
         io = FS(filesystem)
         out_rows = []
         for row in batch.to_pylist():
-            cells = np.array([int(c) for c in row["cells"]], dtype=np.uint64)
-            src = pa.concat_tables([
-                io.read_parquet(FS.join(index_dir, rel), use_threads=False)
-                for rel in row["paths"]])
-            part = src.column("part_cell").to_numpy()
-            for cell in cells.tolist():
-                tbl = src.filter(pa.array(part == np.uint64(cell)))
-                if tbl.num_rows == 0:
-                    continue
-                tbl = tbl.sort_by("s2_cell")
-                # generation-suffixed file name: a re-compaction NEVER
-                # overwrites files the live compaction record references
-                # — a kill mid-rewrite leaves the old generation intact
-                # and serving (ADVICE r1 build.py:296); gc_index collects
-                # superseded generations once the new record commits.
-                rel = FS.join(f"cell={cell}", f"compacted-g{gen}.parquet")
-                dest = FS.join(index_dir, rel)
-                io.write_parquet_atomic(dest, tbl)
-                out_rows.append({
-                    "cell": cell, "path": rel, "row_count": tbl.num_rows,
-                    "bytes": io.size(dest),
-                    "minx": float(pc.min(tbl.column("minx")).as_py()),
-                    "miny": float(pc.min(tbl.column("miny")).as_py()),
-                    "maxx": float(pc.max(tbl.column("maxx")).as_py()),
-                    "maxy": float(pc.max(tbl.column("maxy")).as_py()),
-                })
+            # groups one at a time: peak memory stays one group
+            for cells, paths in zip(row["cells"], row["paths"]):
+                src = pa.concat_tables([
+                    io.read_parquet(FS.join(index_dir, rel), use_threads=False)
+                    for rel in paths])
+                # Arrow's sort is stable, so each cell's slice equals a
+                # per-cell filter followed by sort_by("s2_cell")
+                src = src.sort_by([("part_cell", "ascending"),
+                                   ("s2_cell", "ascending")])
+                part = src.column("part_cell").to_numpy()
+                keys = np.array([int(c) for c in cells], dtype=np.uint64)
+                los = np.searchsorted(part, keys, "left")
+                his = np.searchsorted(part, keys, "right")
+                for cell, lo, hi in zip(keys.tolist(), los.tolist(), his.tolist()):
+                    if lo == hi:
+                        continue
+                    tbl = src.slice(lo, hi - lo)
+                    # generation-suffixed file name: a re-compaction NEVER
+                    # overwrites files the live compaction record references
+                    # — a kill mid-rewrite leaves the old generation intact
+                    # and serving (ADVICE r1 build.py:296); gc_index collects
+                    # superseded generations once the new record commits.
+                    rel = FS.join(f"cell={cell}", f"compacted-g{gen}.parquet")
+                    dest = FS.join(index_dir, rel)
+                    io.write_parquet_atomic(dest, tbl)
+                    out_rows.append({
+                        "cell": cell, "path": rel, "row_count": tbl.num_rows,
+                        "bytes": io.size(dest),
+                        "minx": float(pc.min(tbl.column("minx")).as_py()),
+                        "miny": float(pc.min(tbl.column("miny")).as_py()),
+                        "maxx": float(pc.max(tbl.column("maxx")).as_py()),
+                        "maxy": float(pc.max(tbl.column("maxy")).as_py()),
+                    })
         schema = pa.schema([("cell", pa.uint64()), ("path", pa.string()),
                             ("row_count", pa.int64()), ("bytes", pa.int64()),
                             ("minx", pa.float64()), ("miny", pa.float64()),
@@ -408,12 +444,13 @@ def compact_index(index_dir: str, cfg: EngineConfig = DEFAULT,
     parts = [PartitionStat(cell=int(r["cell"]), path=str(r["path"]),
                            row_count=int(r["row_count"]), bytes=int(r["bytes"]),
                            minx=float(r["minx"]), miny=float(r["miny"]),
-                           maxx=float(r["maxx"]), maxy=float(r["maxy"]))
+                           maxx=float(r["maxx"]), maxy=float(r["maxy"]),
+                           fine_cells=[int(r["cell"])])
              for r in merged.to_dict("records")]
     man.write_compaction(parts, frag_ids, generation=gen)
     # old fragment files stay on disk until a GC pass; queries already
     # route through the compaction record
-    return {"cells": len(work), "files_merged": len(files)}
+    return {"cells": len(groups), "files_merged": len(nbytes)}
 
 
 def gc_index(index_dir: str, filesystem=None) -> dict:

@@ -6,7 +6,8 @@ per-batch errors (load.py:175-180). Here every completed input
 fragment writes one atomic JSON record (tmp + rename) into
 ``<out>/_manifest/`` carrying its lineage: which output partition
 (cell) files it produced, per-partition row counts, byte sizes and
-footprint bbox stats.
+footprint bbox stats, and the distinct fine ``part_cell`` values each
+file holds.
 
 The manifest doubles as the partition-stats index: query-time pruning
 (bbox scans, ROI queries, kNN radius search) selects candidate files
@@ -18,6 +19,12 @@ Resume contract: a fragment id present in the manifest is complete and
 is skipped; output files without a manifest record are from a killed
 run and are safely overwritten (ids and content are deterministic, so
 the rewrite is byte-identical — FIXTURES.md F6 invariant 5).
+
+Compaction plans from these records alone: the fine cells a partition
+file holds are recorded when it is written, so ``compact_index`` reads
+data files only to merge them. Records written before ``fine_cells``
+existed load with it unset, and only their files are scanned for
+``part_cell``.
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ class PartitionStat:
     miny: float
     maxx: float
     maxy: float
+    # distinct `part_cell` values (cells at the configured part_level)
+    # among the file's rows: a build file at a coarsened `cell` holds
+    # several, a compacted file exactly its own. None on records written
+    # before the field existed.
+    fine_cells: list[int] | None = None
 
 
 @dataclass

@@ -91,8 +91,10 @@ class MapStep:
     """Lift a registered kernel into a map_batches step.
 
     ``concurrency``/``batch_size``/``num_cpus`` pass through to
-    map_batches, so a stateful kernel class can run on an actor pool
-    with the standard knobs."""
+    map_batches. A kernel class runs on an actor pool (params go to
+    ``__init__``) only when ``concurrency`` is set; otherwise its
+    instance ``cls(**params)`` runs as a plain task map, which holds no
+    CPU once the dataset is consumed."""
 
     kernel: str
     params: dict = field(default_factory=dict)
@@ -103,16 +105,16 @@ class MapStep:
     def __call__(self, ds: ray.data.Dataset) -> ray.data.Dataset:
         fn = KERNELS[self.kernel]
         kw: dict = {"batch_format": "pyarrow", "zero_copy_batch": True}
-        if isinstance(fn, type):
-            # stateful kernel class → actor pool; params go to __init__
+        if isinstance(fn, type) and self.concurrency is not None:
             bound = fn
             if self.params:
                 kw["fn_constructor_kwargs"] = self.params
-            kw["concurrency"] = self.concurrency if self.concurrency is not None else 2
+        elif isinstance(fn, type):
+            bound = fn(**self.params)
         else:
             bound = functools.partial(fn, **self.params) if self.params else fn
-            if self.concurrency is not None:
-                kw["concurrency"] = self.concurrency
+        if self.concurrency is not None:
+            kw["concurrency"] = self.concurrency
         if self.batch_size is not None:
             kw["batch_size"] = self.batch_size
         if self.num_cpus is not None:

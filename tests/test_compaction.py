@@ -1,7 +1,9 @@
 """Compaction: per-cell merge preserves query results, pruning and
 resume semantics."""
 
+import json
 import os
+import shutil
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -23,9 +25,18 @@ def compacted(ray_session, smoke_dirs, tmp_path_factory):
     man = Manifest(out)
     before_files = man.all_files(out)
     before_rows = pq.read_table(before_files).to_pandas()
+    # the built index as it stood before compaction, for tests that
+    # compact their own copy
+    built = out + "-built"
+    shutil.copytree(out, built)
     stats = compact_index(out, CFG)
-    return {"dir": out, "before_files": before_files, "before_rows": before_rows,
-            "stats": stats}
+    return {"dir": out, "built": built, "before_files": before_files,
+            "before_rows": before_rows, "stats": stats}
+
+
+def _compacted_tables(index_dir):
+    return {p.cell: pq.read_table(os.path.join(index_dir, p.path))
+            for p in Manifest(index_dir).compaction()[0]}
 
 
 def test_compaction_reduces_files_same_rows(compacted):
@@ -36,6 +47,83 @@ def test_compaction_reduces_files_same_rows(compacted):
     after = pq.read_table(after_files).to_pandas()
     assert len(after) == len(compacted["before_rows"])
     assert set(after["image_id"]) == set(compacted["before_rows"]["image_id"])
+
+
+def test_fine_cells_recorded_per_file(compacted):
+    """Every build partition records the distinct part_cell values of
+    its file; every compaction part records its own cell."""
+    idx = compacted["dir"]
+    man = Manifest(idx)
+    parts = [p for r in man.records() for p in r.partitions]
+    assert parts
+    for p in parts:
+        col = pq.read_table(os.path.join(idx, p.path), columns=["part_cell"])
+        assert p.fine_cells == np.unique(col.column("part_cell").to_numpy()).tolist()
+    assert any(len(p.fine_cells) > 1 for p in parts)  # coarsened files exist
+    for p in man.compaction()[0]:
+        assert p.fine_cells == [p.cell]
+
+
+def test_compacted_files_hold_one_cell_sorted(compacted):
+    for cell, tbl in _compacted_tables(compacted["dir"]).items():
+        assert tbl.num_rows > 0
+        assert np.unique(tbl.column("part_cell").to_numpy()).tolist() == [cell]
+        s2 = tbl.column("s2_cell").to_numpy()
+        assert (s2[1:] >= s2[:-1]).all()
+
+
+def test_fresh_compaction_reads_no_part_cells(compacted, tmp_path, monkeypatch):
+    """Fine cells come from the manifest: a freshly built index never
+    takes the distributed part_cell pass."""
+    from hand_index_ray.pipelines import build
+
+    def _fail(*_a, **_k):
+        raise AssertionError("_distinct_part_cells called on a fresh index")
+
+    monkeypatch.setattr(build, "_distinct_part_cells", _fail)
+    idx = str(tmp_path / "index")
+    shutil.copytree(compacted["built"], idx)
+    build.compact_index(idx, CFG)
+    want = _compacted_tables(compacted["dir"])
+    got = _compacted_tables(idx)
+    assert got.keys() == want.keys()
+    assert all(got[c].equals(want[c]) for c in want)
+
+
+def test_legacy_records_compact_the_same(compacted, tmp_path, monkeypatch):
+    """Records written before `fine_cells` existed: only their files go
+    through _distinct_part_cells, and the compacted tables equal the
+    fresh index's cell by cell."""
+    from hand_index_ray.pipelines import build
+
+    idx = str(tmp_path / "index")
+    shutil.copytree(compacted["built"], idx)
+    mdir = os.path.join(idx, "_manifest")
+    legacy = set()
+    for name in sorted(os.listdir(mdir))[::2]:
+        path = os.path.join(mdir, name)
+        with open(path) as f:
+            rec = json.load(f)
+        for p in rec["partitions"]:
+            del p["fine_cells"]
+            legacy.add(os.path.join(idx, p["path"]))
+        with open(path, "w") as f:
+            json.dump(rec, f)
+    assert legacy
+    scanned = []
+    real = build._distinct_part_cells
+
+    def _spy(paths, *a, **k):
+        scanned.extend(paths)
+        return real(paths, *a, **k)
+
+    monkeypatch.setattr(build, "_distinct_part_cells", _spy)
+    build.compact_index(idx, CFG)
+    assert sorted(scanned) == sorted(legacy)
+    want = _compacted_tables(compacted["dir"])
+    got = _compacted_tables(idx)
+    assert got.keys() == want.keys()
+    assert all(got[c].equals(want[c]) for c in want)
 
 
 def test_queries_identical_after_compaction(compacted, smoke_dirs):

@@ -62,6 +62,25 @@ def _embed_images():
     assert len(emb) == 16
 
 
+def _augment_spec():
+    import tempfile
+
+    import pyarrow.parquet as pq
+
+    from hand_index_ray.sources import synth
+    from hand_index_ray.steps import Pipeline
+
+    # a kernel class named in a spec without `concurrency` is a task map
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/images.parquet"
+        pq.write_table(synth.images_batch(np.arange(16), 0), path)
+        spec = {"source": {"parquet": path},
+                "steps": [{"kernel": "augment", "params": {"emit": "stats"},
+                           "batch_size": 4}]}
+        out = Pipeline.from_spec(spec).run().to_pandas()
+    assert len(out) == 16
+
+
 def _wait_for_cpus(ray, want: float, timeout_s: float = 5.0) -> float:
     end = time.monotonic() + timeout_s
     while True:
@@ -72,9 +91,9 @@ def _wait_for_cpus(ray, want: float, timeout_s: float = 5.0) -> float:
 
 
 @pytest.mark.parametrize("run", [_broadcast_join, _bloom_prefilter,
-                                 _band_join, _embed_images],
+                                 _band_join, _embed_images, _augment_spec],
                          ids=["broadcast_join", "bloom_prefilter",
-                              "band_join", "embed_images"])
+                              "band_join", "embed_images", "augment_spec"])
 def test_task_stage_gives_back_cpus(ray_session, run):
     import ray
 
