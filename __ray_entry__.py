@@ -120,8 +120,8 @@ def _catchments_tpch(sf_dir: str) -> str:
 
 def entry() -> Any:
     """Flagship: sf0.001-scaled images table → decode → footprint →
-    cell-encode actor pool (SURVEY.md §7.1 step 2). Returns the
-    footprint Dataset."""
+    cell encode, fused into one task map (SURVEY.md §7.1 step 2).
+    Returns the footprint Dataset."""
     from hand_index_ray.config import EngineConfig
     from hand_index_ray.pipelines.build import footprint_dataset
     from hand_index_ray.sources import synth
@@ -133,7 +133,7 @@ def entry() -> Any:
     n = max(min(nrows // 20, 20000), 400)
     images = _cache_dir(f"entry-n{n}", "images")
     synth.write_images_ray(images, n, fragments=8)
-    return footprint_dataset(images, EngineConfig(encode_concurrency=2))
+    return footprint_dataset(images, EngineConfig())
 
 
 # ---------------------------------------------------------------------------

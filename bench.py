@@ -79,14 +79,13 @@ def run_bench() -> dict:
     from hand_index_ray.pipelines.query import knn_query, roi_query_footprints, zonal_join
     from hand_index_ray.sources import synth
 
-    cfg = EngineConfig(encode_concurrency=max(2, NUM_CPUS // 4))
+    cfg = EngineConfig()
     if os.environ.get("GRAFT_ZONAL_FORCE_SHUFFLE"):
         # evidence mode (VERDICT r3 item 4): force the NON-broadcast
         # zonal route (salted co-group — the 100 TB path) regardless of
         # catalog size, so its absolute + scaling numbers get campaign
         # rows of their own
-        cfg = EngineConfig(encode_concurrency=max(2, NUM_CPUS // 4),
-                           zonal_broadcast_bytes=0)
+        cfg = EngineConfig(zonal_broadcast_bytes=0)
     n = _images_scale(SF_DIR)
     tag = os.path.basename(os.path.normpath(SF_DIR))
     images = _cache_dir(f"bench-{tag}-n{n}-f{BENCH_FRAGMENTS}", "images")

@@ -41,8 +41,6 @@ class EngineConfig:
     footprint_formula: str = "synth"
     # execution
     decode_batch_size: int = 256       # wide binary rows → small batches
-    encode_batch_size: int = 8192
-    encode_concurrency: int | tuple[int, int] = 4
     # skew handling: salt cells whose row count exceeds this multiple of
     # the mean (pre-pass counts, SURVEY.md §4 "skew")
     salt_hot_factor: float = 8.0

@@ -3,9 +3,10 @@
 Two entry points:
 
 ``footprint_dataset(source)``
-    The pure streaming pipeline: ``read_parquet`` → stateless decode
-    tasks → ``CellEncoder`` actor pool, returning a lazy Dataset of
-    footprint rows. Used by ``entry()``, queries and benchmarks.
+    The pure streaming pipeline: ``read_parquet`` → decode, footprint
+    and cell encode as task maps (Ray Data fuses them into one task
+    per block), returning a lazy Dataset of footprint rows. Used by
+    ``entry()``, queries and benchmarks.
 
 ``build_index(images_dir, out_dir)``
     The resumable, materialized build (analog of
@@ -38,7 +39,7 @@ import ray.data
 
 from ..config import DEFAULT, EngineConfig
 from ..kernels import geom, proj, wkb
-from ..stages.encode import CellEncoder, decode_images, derive_footprints
+from ..stages.encode import CellEncoder, decode_images, derive_footprints, encode_cells
 from ..state.fsio import FS
 from ..state.manifest import FragmentRecord, Manifest, PartitionStat
 
@@ -62,11 +63,11 @@ def list_fragments(images_dir: str, filesystem=None) -> list[str]:
     )
 
 
-def _cluster_cpus(default: int = 8) -> int:
+def _cluster_cpus() -> int:
     try:
-        return int(ray.cluster_resources().get("CPU", default))
+        return int(ray.cluster_resources().get("CPU", 1))
     except Exception:
-        return default
+        return 1
 
 
 def footprint_dataset(source: "str | list[str] | ray.data.Dataset",
@@ -84,14 +85,6 @@ def footprint_dataset(source: "str | list[str] | ray.data.Dataset",
               else ray.data.read_parquet(list_fragments(source)))
     else:
         ds = ray.data.read_parquet(source)
-    # Ray Data fuses the stateless decode/footprint stages INTO the
-    # following actor-pool stage, so the pool size caps the WHOLE
-    # decode pipeline — autoscale it to the cluster (leaving headroom
-    # for the read) instead of a fixed small pool
-    cpus = _cluster_cpus()
-    lo = min(cfg.encode_concurrency if isinstance(cfg.encode_concurrency, int)
-             else cfg.encode_concurrency[0], max(1, cpus - 1))
-    hi = max(lo, cpus - 2) if cpus > 3 else lo
     import functools
 
     foot_fn = functools.partial(derive_footprints, formula=cfg.footprint_formula)
@@ -99,15 +92,17 @@ def footprint_dataset(source: "str | list[str] | ray.data.Dataset",
         ds.map_batches(decode_images, batch_format="pyarrow", zero_copy_batch=True,
                        batch_size=cfg.decode_batch_size)
         .map_batches(foot_fn, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(CellEncoder, fn_constructor_args=(cfg,),
+        # a plain function, not a CellEncoder: its warm-up would build
+        # the module tables in the calling process, which never encodes
+        # (~2 s on a first call); a worker builds them on its first batch
+        .map_batches(functools.partial(encode_cells, cfg=cfg),
                      batch_format="pyarrow", zero_copy_batch=True,
                      # batch_size=None → batches follow upstream blocks;
                      # a fixed large batch size here would make the FUSED
                      # decode+encode operator coalesce the whole input
                      # into a handful of giant batches (observed: 8 tasks
                      # on 32 CPUs), serializing the decode work
-                     batch_size=None,
-                     concurrency=(lo, hi))
+                     batch_size=None)
     )
 
 
@@ -386,7 +381,7 @@ def compact_index(index_dir: str, cfg: EngineConfig = DEFAULT,
     sized = sorted(((sum(nbytes[p] for p in paths), paths, cells)
                     for paths, cells in groups.items()),
                    key=lambda g: -g[0])
-    heap = [(0, t) for t in range(min(len(sized), 2 * _cluster_cpus(1)))]
+    heap = [(0, t) for t in range(min(len(sized), 2 * _cluster_cpus()))]
     work = [{"cells": [], "paths": []} for _ in heap]
     for size, paths, cells in sized:
         load, t = heapq.heappop(heap)
@@ -450,7 +445,7 @@ def compact_index(index_dir: str, cfg: EngineConfig = DEFAULT,
     man.write_compaction(parts, frag_ids, generation=gen)
     # old fragment files stay on disk until a GC pass; queries already
     # route through the compaction record
-    return {"cells": len(groups), "files_merged": len(nbytes)}
+    return {"cells": len(parts), "files_merged": len(nbytes)}
 
 
 def gc_index(index_dir: str, filesystem=None) -> dict:

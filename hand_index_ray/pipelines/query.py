@@ -14,8 +14,8 @@ Operator map (SURVEY.md §2.4–2.6):
 
 Broadcast discipline: small sides (the ROI geometry, the filtered id
 set, the catchment polygons of one query) are put in the object store
-ONCE via ``ray.put`` and read inside actor ``__init__`` / task closures
-— never re-shipped per batch (SURVEY.md §2.3 ST2/ST3).
+ONCE via ``ray.put`` and read inside task closures — never re-shipped
+per batch (SURVEY.md §2.3 ST2/ST3).
 """
 
 from __future__ import annotations
@@ -73,25 +73,24 @@ def bbox_scan(index_dir: str, minx: float, miny: float, maxx: float, maxy: float
 # J1 + A5: ROI polygon query over tile footprints
 
 
+def _bbox_arrays(t: pa.Table) -> list[np.ndarray]:
+    return [t.column(c).to_numpy() for c in ("minx", "miny", "maxx", "maxy")]
+
+
 class RoiMatcher:
-    """Actor-pool stage holding the prepared ROI geometry (ST2).
+    """The prepared ROI geometry and the reference's overlap filter
+    (ST2). The ROI WKB is broadcast once via ``ray.put``; a task map
+    builds one matcher per batch, ~0.1 ms for an 8-gon (reference
+    prepares the query polygon once at query_geojson.py:54-73,105)."""
 
-    The ROI ragged arrays are broadcast once via ``ray.put``; each actor
-    fetches them in ``__init__`` and reuses them across batches
-    (reference prepares the query polygon once at
-    query_geojson.py:54-73,105 — per process instead of per actor)."""
-
-    def __init__(self, roi_ref, threshold_pct: float):
-        roi_blob = ray.get(roi_ref)
+    def __init__(self, roi_blob: bytes, threshold_pct: float):
         self.roi = geom.PreparedPolygon(wkb.decode([roi_blob]))
         self.rect = geom.axis_rect(self.roi)  # exact fast path for bbox ROIs
         self.threshold = threshold_pct
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        minx = t.column("minx").to_numpy()
-        miny = t.column("miny").to_numpy()
-        maxx = t.column("maxx").to_numpy()
-        maxy = t.column("maxy").to_numpy()
+    def match(self, minx, miny, maxx, maxy):
+        """Tile bboxes vs the ROI → (areas, overlap_pct, relation dict,
+        keep mask: contains OR within OR overlap_pct ≥ threshold)."""
         if self.rect is not None:
             rel = geom.rects_vs_rect(minx, miny, maxx, maxy, *self.rect)
         else:
@@ -100,6 +99,10 @@ class RoiMatcher:
         pct = geom.overlap_stats(areas, rel["inter_area"])
         keep = geom.keep_mask(rel["rect_contains_poly"], rel["rect_within_poly"],
                               pct, self.threshold) & rel["intersects"]
+        return areas, pct, rel, keep
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        areas, pct, rel, keep = self.match(*_bbox_arrays(t))
         out = t.append_column("area", pa.array(areas))
         out = out.append_column("overlap_pct", pa.array(pct))
         out = out.append_column("contains_query", pa.array(rel["rect_contains_poly"]))
@@ -123,17 +126,11 @@ def roi_query_footprints(index_dir: str, roi_ring_lonlat: np.ndarray,
         return None
     ds = ray.data.read_parquet(files, filesystem=filesystem)
     roi_ref = ray.put(wkb.encode(rag)[0])
-    if len(files) <= 32:
-        # small candidate set: stateless tasks skip actor-pool spin-up
-        # (the ROI still ships once via the object store; ray.get of a
-        # local object is a cheap shared-memory lookup per task)
-        def match(t: pa.Table) -> pa.Table:
-            return RoiMatcher(roi_ref, thr)(t)
 
-        return ds.map_batches(match, batch_format="pyarrow", zero_copy_batch=True)
-    return ds.map_batches(RoiMatcher, fn_constructor_args=(roi_ref, thr),
-                          batch_format="pyarrow", zero_copy_batch=True,
-                          concurrency=(1, 8))
+    def match(t: pa.Table) -> pa.Table:
+        return RoiMatcher(ray.get(roi_ref), thr)(t)
+
+    return ds.map_batches(match, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def roi_query_footprints_multi(index_dir: str,
@@ -169,26 +166,14 @@ def roi_query_footprints_multi(index_dir: str,
     def match_all(t: pa.Table) -> pa.Table:
         blobs = ray.get(roi_ref)
         bxs = ray.get(box_ref)
-        minx = t.column("minx").to_numpy()
-        miny = t.column("miny").to_numpy()
-        maxx = t.column("maxx").to_numpy()
-        maxy = t.column("maxy").to_numpy()
+        minx, miny, maxx, maxy = _bbox_arrays(t)
         outs = []
         for name, blob in blobs.items():
             b = bxs[name]
             # skip ROIs that cannot touch this batch at all
             if minx.min() > b[2] or maxx.max() < b[0] or miny.min() > b[3] or maxy.max() < b[1]:
                 continue
-            prep = geom.PreparedPolygon(wkb.decode([blob]))
-            rect = geom.axis_rect(prep)
-            if rect is not None:  # same exact fast path as RoiMatcher
-                rel = geom.rects_vs_rect(minx, miny, maxx, maxy, *rect)
-            else:
-                rel = geom.rects_vs_polygon(minx, miny, maxx, maxy, prep)
-            areas = (maxx - minx) * (maxy - miny)
-            pct = geom.overlap_stats(areas, rel["inter_area"])
-            keep = geom.keep_mask(rel["rect_contains_poly"], rel["rect_within_poly"],
-                                  pct, thr) & rel["intersects"]
+            _areas, pct, _rel, keep = RoiMatcher(blob, thr).match(minx, miny, maxx, maxy)
             if not keep.any():
                 continue
             sub = t.filter(pa.array(keep))
@@ -227,49 +212,46 @@ def roi_query_catchments(catchments_path: str, roi_ring_lonlat: np.ndarray,
     roi5070 = wkb.from_parts([[[np.stack([x, y], axis=1)]]])
     roi_ref = ray.put(wkb.encode(roi5070)[0])
 
-    class CatchmentMatcher:
-        def __init__(self):
-            self.roi = wkb.decode([ray.get(roi_ref)])
-            self.prep = geom.PreparedPolygon(self.roi, 0)
-            self.roi_bounds = self.prep.bounds
+    def match(t: pa.Table) -> pa.Table:
+        # the ROI is prepared per batch (~0.1 ms): a task map holds no
+        # state once the dataset is consumed
+        roi = wkb.decode([ray.get(roi_ref)])
+        prep = geom.PreparedPolygon(roi, 0)
+        blobs = t.column("geometry")
+        n = t.num_rows
+        inter = np.zeros(n)
+        areas = np.zeros(n)
+        contains = np.zeros(n, dtype=bool)
+        within = np.zeros(n, dtype=bool)
+        # one C-level extraction of the packed WKB blobs — no
+        # per-row .as_py()
+        rag = wkb.decode(blobs.combine_chunks().to_numpy(
+            zero_copy_only=False))
+        gb = geom.bounds(rag)
+        rb = prep.bounds
+        cand = (gb[:, 0] <= rb[2]) & (rb[0] <= gb[:, 2]) & (gb[:, 1] <= rb[3]) & (rb[1] <= gb[:, 3])
+        # vectorized ST_Intersects for the whole batch (same
+        # decision as per-candidate geom_intersects)
+        hit = geom.polygons_intersect_one(rag, cand, prep)
+        garea = geom.area(rag)
+        for i in np.nonzero(hit)[0]:
+            areas[i] = garea[i]
+            # general polygon intersection: concave/holed catchments
+            # are handled exactly (ear-triangulated clip rings)
+            inter[i] = geom.clip_area_general(roi, 0, rag, int(i))
+            contains[i] = geom.geom_contains(rag, int(i), roi, 0)
+            within[i] = geom.geom_contains(roi, 0, rag, int(i))
+        pct = geom.overlap_stats(areas, inter)
+        keep = geom.keep_mask(contains, within, pct, thr) & hit
+        out = t.append_column("area", pa.array(areas))
+        out = out.append_column("overlap_pct", pa.array(pct))
+        out = out.append_column("contains_query", pa.array(contains))
+        out = out.append_column("within_query", pa.array(within))
+        out = out.append_column("intersects", pa.array(hit))
+        return out.filter(pa.array(hit)) if with_stats else out.filter(pa.array(keep))
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            blobs = t.column("geometry")
-            n = t.num_rows
-            inter = np.zeros(n)
-            areas = np.zeros(n)
-            contains = np.zeros(n, dtype=bool)
-            within = np.zeros(n, dtype=bool)
-            # one C-level extraction of the packed WKB blobs — no
-            # per-row .as_py()
-            rag = wkb.decode(blobs.combine_chunks().to_numpy(
-                zero_copy_only=False))
-            gb = geom.bounds(rag)
-            rb = self.roi_bounds
-            cand = (gb[:, 0] <= rb[2]) & (rb[0] <= gb[:, 2]) & (gb[:, 1] <= rb[3]) & (rb[1] <= gb[:, 3])
-            # vectorized ST_Intersects for the whole batch (same
-            # decision as per-candidate geom_intersects)
-            hit = geom.polygons_intersect_one(rag, cand, self.prep)
-            garea = geom.area(rag)
-            for i in np.nonzero(hit)[0]:
-                areas[i] = garea[i]
-                # general polygon intersection: concave/holed catchments
-                # are handled exactly (ear-triangulated clip rings)
-                inter[i] = geom.clip_area_general(self.roi, 0, rag, int(i))
-                contains[i] = geom.geom_contains(rag, int(i), self.roi, 0)
-                within[i] = geom.geom_contains(self.roi, 0, rag, int(i))
-            pct = geom.overlap_stats(areas, inter)
-            keep = geom.keep_mask(contains, within, pct, thr) & hit
-            out = t.append_column("area", pa.array(areas))
-            out = out.append_column("overlap_pct", pa.array(pct))
-            out = out.append_column("contains_query", pa.array(contains))
-            out = out.append_column("within_query", pa.array(within))
-            out = out.append_column("intersects", pa.array(hit))
-            return out.filter(pa.array(hit)) if with_stats else out.filter(pa.array(keep))
-
-    ds = ray.data.read_parquet(catchments_path)
-    matched = ds.map_batches(CatchmentMatcher, batch_format="pyarrow",
-                             zero_copy_batch=True, concurrency=(1, 8))
+    matched = ray.data.read_parquet(catchments_path).map_batches(
+        match, batch_format="pyarrow", zero_copy_batch=True)
     if not with_stats:
         return matched
     # stats pass (reference query_geojson.py:236-246): candidates kept

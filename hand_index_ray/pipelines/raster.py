@@ -10,8 +10,8 @@ tiles an ROI touches.
 
 Scale shapes (the 100 TB design points):
 - ``catalog_paths``: header-only ranged reads through the FS adapter —
-  a few hundred bytes per raster no matter the file size; one actor
-  pool holds the filesystem handle. Never ships pixel bytes.
+  a few hundred bytes per raster no matter the file size; a task map
+  ships the filesystem handle with each task. Never ships pixel bytes.
 - ``raster_stats`` / ``window_sums``: per-blob decode inside
   ``map_batches`` (segments are independent; batch-level parallelism),
   partial aggregates only — no shuffle, no full-corpus materialization.
@@ -50,10 +50,11 @@ def _info_row(info: dict, path: str) -> dict:
 
 
 class CatalogFromFS:
-    """Actor-pool stage: GeoTIFF metadata catalog from paths, reading
-    ONLY the IFD byte ranges through the (picklable) FS adapter —
-    the raster-pointer-table analog of the reference's
-    ``load.py:239-253``, but with real metadata instead of bare paths."""
+    """GeoTIFF metadata catalog from paths, reading ONLY the IFD byte
+    ranges through the (picklable) FS adapter — the raster-pointer-table
+    analog of the reference's ``load.py:239-253``, but with real
+    metadata instead of bare paths. It holds only the FS adapter, so it
+    is mapped as an instance on plain tasks."""
 
     def __init__(self, filesystem=None):
         self.io = FS(filesystem)
@@ -69,13 +70,11 @@ class CatalogFromFS:
         return pa.Table.from_pylist(rows, schema=_CATALOG_SCHEMA)
 
 
-def catalog_paths(paths, filesystem=None, concurrency=(1, 4)):
+def catalog_paths(paths, filesystem=None):
     """Dataset of GeoTIFF metadata for ``paths`` — header-only reads."""
     import ray.data
     ds = ray.data.from_items([{"path": p} for p in paths])
-    return ds.map_batches(CatalogFromFS, batch_format="pyarrow",
-                          fn_constructor_kwargs={"filesystem": filesystem},
-                          concurrency=concurrency)
+    return ds.map_batches(CatalogFromFS(filesystem), batch_format="pyarrow")
 
 
 def catalog_blobs(ds, bytes_col: str = "bytes", id_col: str = "path"):

@@ -2,11 +2,11 @@
 
 These are the engine's analog of the reference's per-branch insert
 pipeline (load.py:146-173: read → union → centroid → h3 cell → row),
-re-expressed as vectorized Arrow batch transforms. The decode stage is
-stateless (plain function → Ray tasks); the cell encoder is a callable
-class used as an actor pool (``map_batches(CellEncoder, concurrency=N)``)
-so the icosahedron face tables / Hilbert lookup tables are touched once
-per actor, not per batch (SURVEY.md §2.3 ST1).
+re-expressed as vectorized Arrow batch transforms. All three are plain
+functions run as Ray tasks. The icosahedron face / Hilbert lookup
+tables that ``encode_cells`` relies on are module-level, so each worker
+process builds them once, on its first batch (SURVEY.md §2.3 ST1);
+``CellEncoder`` builds them up front for in-process callers.
 """
 
 from __future__ import annotations
@@ -132,40 +132,45 @@ def derive_footprints(batch: pa.Table, formula: str = "synth") -> pa.Table:
     return out
 
 
-class CellEncoder:
-    """Actor-pool stage: multi-resolution spatial keys per footprint.
+def encode_cells(batch: pa.Table, cfg: EngineConfig = DEFAULT) -> pa.Table:
+    """Multi-resolution spatial keys per footprint.
 
     The engine's ``h3_latlng_to_cell`` (reference load.py:164-168)
     generalized per the north rule: H3-style cells at res 5–9, the S2
     fine key, and the S2 parent at the partition level (the hive
     partition key, playing the role of the reference's single
-    ``h3_index`` partition column, load.py:279-283).
-
-    Stateful setup (face/Hilbert tables) happens once per actor in
-    ``__init__``; ``__call__`` is pure vectorized numpy per batch.
+    ``h3_index`` partition column, load.py:279-283). Pure vectorized
+    numpy per batch.
     """
+    lon = batch.column("centroid_lon").to_numpy()
+    lat = batch.column("centroid_lat").to_numpy()
+    out = batch
+    # bit-exact Uber H3 ids (reference load.py:164-168 parity);
+    # one shared spherical projection serves all resolutions
+    cells = h3exact.latlng_to_cells_multi(
+        lat, lon, range(cfg.hex_res_min, cfg.hex_res_max + 1))
+    for res, arr in cells.items():
+        out = out.append_column(f"h3_r{res}", pa.array(arr, pa.uint64()))
+    s2c = s2.lonlat_to_cell(lon, lat, cfg.s2_level)
+    out = out.append_column("s2_cell", pa.array(s2c, pa.uint64()))
+    out = out.append_column("part_cell",
+                            pa.array(s2.parent(s2c, cfg.part_level), pa.uint64()))
+    return out
+
+
+class CellEncoder:
+    """``encode_cells`` for in-process callers (the fragment build, the
+    benchmark ledger): ``__init__`` warms the module-level face/Hilbert
+    tables, so their one-time cost lands before the first batch."""
 
     def __init__(self, cfg: EngineConfig = DEFAULT):
         self.cfg = cfg
         # touch the module-level tables so their lazy construction cost
         # (h3 base-cell derivation, Hilbert LUTs) lands here — once per
-        # actor, not per batch
+        # process, not per batch
         h3exact.latlng_to_cell(np.array([0.0]), np.array([0.0]),
                                cfg.hex_res_min)
         s2.lonlat_to_cell(np.array([0.0]), np.array([0.0]), cfg.s2_level)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch.column("centroid_lon").to_numpy()
-        lat = batch.column("centroid_lat").to_numpy()
-        out = batch
-        # bit-exact Uber H3 ids (reference load.py:164-168 parity);
-        # one shared spherical projection serves all resolutions
-        cells = h3exact.latlng_to_cells_multi(
-            lat, lon, range(self.cfg.hex_res_min, self.cfg.hex_res_max + 1))
-        for res, arr in cells.items():
-            out = out.append_column(f"h3_r{res}", pa.array(arr, pa.uint64()))
-        s2c = s2.lonlat_to_cell(lon, lat, self.cfg.s2_level)
-        out = out.append_column("s2_cell", pa.array(s2c, pa.uint64()))
-        out = out.append_column("part_cell",
-                                pa.array(s2.parent(s2c, self.cfg.part_level), pa.uint64()))
-        return out
+        return encode_cells(batch, self.cfg)

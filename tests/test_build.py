@@ -13,7 +13,7 @@ from hand_index_ray.kernels import s2
 from hand_index_ray.sources import synth
 from hand_index_ray.state.manifest import Manifest
 
-CFG = EngineConfig(encode_concurrency=2, decode_batch_size=64)
+CFG = EngineConfig(decode_batch_size=64)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import os
 import shutil
 
 import numpy as np
+import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
@@ -13,7 +14,7 @@ from hand_index_ray.config import EngineConfig
 from hand_index_ray.sources import synth
 from hand_index_ray.state.manifest import Manifest
 
-CFG = EngineConfig(encode_concurrency=2, decode_batch_size=64)
+CFG = EngineConfig(decode_batch_size=64)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,45 @@ def test_legacy_records_compact_the_same(compacted, tmp_path, monkeypatch):
     got = _compacted_tables(idx)
     assert got.keys() == want.keys()
     assert all(got[c].equals(want[c]) for c in want)
+
+
+def test_compaction_reports_cell_files(compacted):
+    """`cells` counts the compacted cell files, as the skipped path
+    does, not the merge groups (a group can hold several cells)."""
+    parts = Manifest(compacted["dir"]).compaction()[0]
+    assert compacted["stats"]["cells"] == len(parts)
+
+
+def _wide_rois(index_dir):
+    """A rect and an 8-gon over the whole index extent."""
+    f = pq.read_table(Manifest(index_dir).all_files(index_dir),
+                      columns=["minx", "miny", "maxx", "maxy"]).to_pandas()
+    x0, y0, x1, y1 = f.minx.min(), f.miny.min(), f.maxx.max(), f.maxy.max()
+    rect = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
+    ang = 2 * np.pi * np.arange(8) / 8
+    cx, cy, r = (x0 + x1) / 2, (y0 + y1) / 2, 0.45 * max(x1 - x0, y1 - y0)
+    gon = np.stack([cx + r * np.cos(ang), cy + r * np.sin(ang)], axis=1)
+    return {"rect": rect, "8-gon": gon}
+
+
+def test_roi_query_many_files_matches_compacted(compacted):
+    """An ROI over more than 32 build files returns the same rows as
+    the same query over the compacted index."""
+    from hand_index_ray.kernels import geom, wkb
+    from hand_index_ray.pipelines.query import roi_query_footprints
+
+    built, idx = compacted["built"], compacted["dir"]
+    for name, ring in _wide_rois(built).items():
+        b = geom.bounds(wkb.from_parts([[[ring]]]))[0]
+        assert len(Manifest(built).files_for_bbox(built, *b)) > 32, name
+        # `cell` is the hive key of the file's directory, which
+        # compaction changes; every stored column must match
+        got, want = (roi_query_footprints(d, ring, 10.0, CFG).to_pandas()
+                     .drop(columns="cell")
+                     .sort_values("image_id").reset_index(drop=True)
+                     for d in (built, idx))
+        assert len(want) > 0, name
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
 
 
 def test_queries_identical_after_compaction(compacted, smoke_dirs):

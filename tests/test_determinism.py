@@ -56,7 +56,7 @@ def test_manifest_fresh_instance_sees_new_records(ray_session, smoke_dirs, tmp_p
     from hand_index_ray.pipelines.build import build_index
     from hand_index_ray.state.manifest import Manifest
 
-    cfg = EngineConfig(encode_concurrency=2, decode_batch_size=64)
+    cfg = EngineConfig(decode_batch_size=64)
     idx = str(tmp_path / "m")
     build_index(smoke_dirs["images"], idx, cfg)
     m1 = Manifest(idx)

@@ -232,7 +232,7 @@ def test_catalog_and_stats_pipelines(ray_session, tmp_path):
         paths.append(str(p))
 
     # path catalog: header-only ranged reads through the FS adapter
-    cat = raster.catalog_paths(paths, concurrency=2).to_pandas()
+    cat = raster.catalog_paths(paths).to_pandas()
     cat = cat.sort_values("path").reset_index(drop=True)
     assert len(cat) == 6
     assert (cat["width"] == 20).all() and (cat["epsg"] == 5070).all()

@@ -68,7 +68,7 @@ def test_augment_images_matches_numpy(ray_session, smoke_dirs):
     from hand_index_ray.pipelines.build import list_fragments
     from hand_index_ray.pipelines.image_embed import augment_images
 
-    cfg = EngineConfig(encode_concurrency=2, decode_batch_size=64)
+    cfg = EngineConfig(decode_batch_size=64)
     out = augment_images(smoke_dirs["images"], crop_frac=0.5, flip_mod=2,
                          emit="bytes", cfg=cfg).to_pandas() \
         .set_index("image_id")
@@ -112,7 +112,7 @@ def test_augment_stats_and_channel_stats_exact(ray_session):
         "fmt": pa.array(["raw"] * len(keys), pa.string()),
     })
     ds = ray.data.from_arrow(t).repartition(4)
-    cfg = EngineConfig(encode_concurrency=2, decode_batch_size=16)
+    cfg = EngineConfig(decode_batch_size=16)
     st = augment_images(ds, crop_frac=0.5, flip_mod=4, emit="stats",
                         cfg=cfg).to_pandas().set_index("image_id")
     for k, im in zip(keys, imgs):
@@ -172,7 +172,7 @@ def test_resize_images_bytes_and_patch_grid(ray_session):
         "fmt": pa.array(["raw"] * 6, pa.string()),
     })
     ds = ray.data.from_arrow(t).repartition(3)
-    cfg = EngineConfig(encode_concurrency=2, decode_batch_size=4)
+    cfg = EngineConfig(decode_batch_size=4)
     out = resize_images(ds, 6, 8, emit="bytes", cfg=cfg).to_pandas() \
         .set_index("image_id")
     for i, im in enumerate(imgs):

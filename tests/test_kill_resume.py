@@ -22,7 +22,7 @@ import ray.data
 ray.data.DataContext.get_current().enable_progress_bars = False
 from hand_index_ray.config import EngineConfig
 from hand_index_ray.pipelines.build import build_index
-cfg = EngineConfig(encode_concurrency=2, decode_batch_size=64)
+cfg = EngineConfig(decode_batch_size=64)
 stats = build_index(sys.argv[1], sys.argv[2], cfg)
 print("DONE", stats["fragments_built"], flush=True)
 ray.shutdown()
@@ -92,7 +92,7 @@ def test_gc_after_compaction(ray_session, smoke_dirs, tmp_path):
     from hand_index_ray.config import EngineConfig
     from hand_index_ray.pipelines.build import build_index, compact_index, gc_index
 
-    cfg = EngineConfig(encode_concurrency=2, decode_batch_size=64)
+    cfg = EngineConfig(decode_batch_size=64)
     idx = str(tmp_path / "gc_index")
     build_index(smoke_dirs["images"], idx, cfg)
     man = Manifest(idx)

@@ -118,7 +118,7 @@ def test_catchments_hive_partitioned_roundtrip(ray_session, smoke_dirs, tmp_path
     from hand_index_ray.pipelines.build import build_catchments
     from hand_index_ray.pipelines.query import roi_query_catchments
 
-    cfg = EngineConfig(encode_concurrency=2)
+    cfg = EngineConfig()
     src = os.path.join(smoke_dirs["vector"], "catchments.parquet")
     raw = ray.data.read_parquet(src)
     catalog = build_catchments(raw.select_columns(["geometry", "branch_path"]), cfg)

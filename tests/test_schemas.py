@@ -66,7 +66,7 @@ def test_build_index_with_fs_handle(ray_session, smoke_dirs, tmp_path):
     from hand_index_ray.pipelines.build import build_index
     from hand_index_ray.state.manifest import Manifest
 
-    cfg = EngineConfig(encode_concurrency=2, decode_batch_size=64)
+    cfg = EngineConfig(decode_batch_size=64)
     out = str(tmp_path / "fs_index")
     stats = build_index(smoke_dirs["images"], out, cfg,
                         filesystem=pafs.LocalFileSystem())

@@ -81,6 +81,71 @@ def _augment_spec():
     assert len(out) == 16
 
 
+def _footprint_dataset():
+    import tempfile
+
+    from hand_index_ray.pipelines.build import footprint_dataset
+    from hand_index_ray.sources import synth
+
+    with tempfile.TemporaryDirectory() as d:
+        synth.write_images(d, n=64, fragments=4)
+        assert footprint_dataset(d).count() == 64
+
+
+def _roi_query_footprints():
+    import tempfile
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from hand_index_ray.config import EngineConfig
+    from hand_index_ray.pipelines.build import build_index
+    from hand_index_ray.pipelines.query import roi_query_footprints
+    from hand_index_ray.sources import synth
+    from hand_index_ray.state.manifest import Manifest
+
+    # an uncompacted index and an ROI over all of it: more than 32
+    # candidate files
+    with tempfile.TemporaryDirectory() as d:
+        synth.write_images(f"{d}/images", n=400, fragments=8)
+        idx = f"{d}/index"
+        build_index(f"{d}/images", idx, EngineConfig(decode_batch_size=64))
+        files = Manifest(idx).all_files(idx)
+        assert len(files) > 32
+        f = pq.read_table(files, columns=["minx", "miny", "maxx", "maxy"])
+        x0, y0 = pc.min(f["minx"]).as_py(), pc.min(f["miny"]).as_py()
+        x1, y1 = pc.max(f["maxx"]).as_py(), pc.max(f["maxy"]).as_py()
+        ring = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]])
+        assert roi_query_footprints(idx, ring, 10.0).count() == 400
+
+
+def _roi_query_catchments():
+    import tempfile
+
+    from hand_index_ray.pipelines.query import roi_query_catchments
+    from hand_index_ray.sources import synth
+
+    with tempfile.TemporaryDirectory() as d:
+        path = synth.write_catchment_suite(d, n=50)["catchments"]
+        ring = synth.roi_polygons()["huge"]
+        assert roi_query_catchments(path, ring, 10.0).count() > 0
+
+
+def _catalog_paths():
+    import tempfile
+
+    from hand_index_ray.kernels import geotiff
+    from hand_index_ray.pipelines import raster
+
+    with tempfile.TemporaryDirectory() as d:
+        paths = []
+        for i in range(4):
+            paths.append(f"{d}/r{i}.tif")
+            with open(paths[-1], "wb") as f:
+                f.write(geotiff.encode_geotiff(np.full((8, 8), i, np.int32)))
+        assert len(raster.catalog_paths(paths).to_pandas()) == 4
+
+
 def _wait_for_cpus(ray, want: float, timeout_s: float = 5.0) -> float:
     end = time.monotonic() + timeout_s
     while True:
@@ -91,9 +156,13 @@ def _wait_for_cpus(ray, want: float, timeout_s: float = 5.0) -> float:
 
 
 @pytest.mark.parametrize("run", [_broadcast_join, _bloom_prefilter,
-                                 _band_join, _embed_images, _augment_spec],
+                                 _band_join, _embed_images, _augment_spec,
+                                 _footprint_dataset, _roi_query_footprints,
+                                 _roi_query_catchments, _catalog_paths],
                          ids=["broadcast_join", "bloom_prefilter",
-                              "band_join", "embed_images", "augment_spec"])
+                              "band_join", "embed_images", "augment_spec",
+                              "footprint_dataset", "roi_query_footprints",
+                              "roi_query_catchments", "catalog_paths"])
 def test_task_stage_gives_back_cpus(ray_session, run):
     import ray
 

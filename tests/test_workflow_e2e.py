@@ -18,7 +18,7 @@ import pyarrow.parquet as pq
 from hand_index_ray.config import EngineConfig
 from hand_index_ray.sources import synth
 
-CFG = EngineConfig(encode_concurrency=2, decode_batch_size=64)
+CFG = EngineConfig(decode_batch_size=64)
 
 
 def test_full_workflow(ray_session, smoke_dirs, tmp_path):
