@@ -546,23 +546,12 @@ def hist_intersection_pairs(blobs: ray.data.Dataset, nbins: int = 16,
     classic retrieval blocking trick — never all-pairs), similarity
     = Σ min(h_a, h_b), exact integers. Dominant-bin ties break to the
     smaller bin id."""
-    from .terrain import _decode_batch
+    from .terrain import _per_raster
 
-    def hists(t: pa.Table) -> pa.Table:
-        ids, doms, hh = [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            h = np.bincount((arr.ravel() // binw).astype(np.int64),
-                            minlength=nbins)[:nbins]
-            ids.append(rid)
-            doms.append(int(h.argmax()))
-            hh.append(h.astype(np.int64))
-        cols = {id_col: pa.array(ids, pa.int64()),
-                "dom": pa.array(doms, pa.int64())}
-        hm = (np.stack(hh) if hh
-              else np.zeros((0, nbins), dtype=np.int64))
-        for j in range(nbins):
-            cols[f"h{j}"] = pa.array(hm[:, j])
-        return pa.table(cols)
+    def hist(arr):
+        h = np.bincount((arr.ravel() // binw).astype(np.int64),
+                        minlength=nbins)[:nbins]
+        return [(int(h.argmax()), *h.tolist())]
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         m = len(g)
@@ -580,7 +569,8 @@ def hist_intersection_pairs(blobs: ray.data.Dataset, nbins: int = 16,
                              "dom": g["dom"].to_numpy()[ia],
                              "sim": sim.astype(np.int64)})
 
-    hds = blobs.map_batches(hists, batch_format="pyarrow")
+    hds = _per_raster(blobs, bytes_col, id_col,
+                      ["dom"] + [f"h{j}" for j in range(nbins)], hist)
     return rel.grouped_apply_bucketed(hds, ["dom"], pairs,
                                       num_buckets=num_buckets)
 
@@ -828,26 +818,21 @@ def census_stats(blobs: ray.data.Dataset, id_col: str = "o_orderkey",
     neighbor b exceeds the center (fixed E,SE,S,SW,W,NW,N,NE order).
     Emits distinct-code count, code sum and max code per raster —
     map-only shifted slices, exact ints."""
-    from .terrain import D8_OFFSETS, _decode_batch
+    from .terrain import D8_OFFSETS, _per_raster
 
-    def f(t: pa.Table) -> pa.Table:
-        rows = {id_col: [], "n_codes": [], "code_sum": [], "max_code": []}
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            v = arr.astype(np.int64)
-            c = v[1:-1, 1:-1]
-            code = np.zeros_like(c)
-            for bit, (dx, dy) in enumerate(D8_OFFSETS):
-                nb = v[1 + dy:v.shape[0] - 1 + dy,
-                       1 + dx:v.shape[1] - 1 + dx]
-                code |= (nb > c).astype(np.int64) << bit
-            rows[id_col].append(rid)
-            rows["n_codes"].append(int(len(np.unique(code))))
-            rows["code_sum"].append(int(code.sum()))
-            rows["max_code"].append(int(code.max()))
-        return pa.table({k: pa.array(vv, pa.int64())
-                         for k, vv in rows.items()})
+    def rows(arr):
+        v = arr.astype(np.int64)
+        c = v[1:-1, 1:-1]
+        code = np.zeros_like(c)
+        for bit, (dx, dy) in enumerate(D8_OFFSETS):
+            nb = v[1 + dy:v.shape[0] - 1 + dy,
+                   1 + dx:v.shape[1] - 1 + dx]
+            code |= (nb > c).astype(np.int64) << bit
+        return [(int(len(np.unique(code))), int(code.sum()),
+                 int(code.max()))]
 
-    return blobs.map_batches(f, batch_format="pyarrow")
+    return _per_raster(blobs, bytes_col, id_col,
+                       ("n_codes", "code_sum", "max_code"), rows)
 
 
 def top_paths(events: ray.data.Dataset, key: str, ts_us: str,
@@ -930,30 +915,22 @@ def triangle_threshold(blobs: ray.data.Dataset, nlevels: int = 64,
     them maximizing the perpendicular distance, which shares its
     argmax with the exact integer cross product
     |(e−p)·(h_t−h_p) − (t−p)·(h_e−h_p)| (tie → smallest t)."""
-    from .terrain import _decode_batch
+    from .terrain import _per_raster
 
-    def f(t: pa.Table) -> pa.Table:
-        rows = {id_col: [], "peak": [], "last": [], "thr": [],
-                "cross_abs": []}
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            h = np.bincount(arr.ravel().astype(np.int64),
-                            minlength=nlevels)[:nlevels].astype(np.int64)
-            p = int(h.argmax())
-            nz = np.flatnonzero(h)
-            e = int(nz[-1])
-            ts = np.arange(p, e + 1, dtype=np.int64)
-            cross = np.abs((e - p) * (h[ts] - h[p])
-                           - (ts - p) * (h[e] - h[p]))
-            j = int(np.argmax(cross))
-            rows[id_col].append(rid)
-            rows["peak"].append(p)
-            rows["last"].append(e)
-            rows["thr"].append(int(ts[j]))
-            rows["cross_abs"].append(int(cross[j]))
-        return pa.table({k: pa.array(v, pa.int64())
-                         for k, v in rows.items()})
+    def rows(arr):
+        h = np.bincount(arr.ravel().astype(np.int64),
+                        minlength=nlevels)[:nlevels].astype(np.int64)
+        p = int(h.argmax())
+        nz = np.flatnonzero(h)
+        e = int(nz[-1])
+        ts = np.arange(p, e + 1, dtype=np.int64)
+        cross = np.abs((e - p) * (h[ts] - h[p])
+                       - (ts - p) * (h[e] - h[p]))
+        j = int(np.argmax(cross))
+        return [(p, e, int(ts[j]), int(cross[j]))]
 
-    return blobs.map_batches(f, batch_format="pyarrow")
+    return _per_raster(blobs, bytes_col, id_col,
+                       ("peak", "last", "thr", "cross_abs"), rows)
 
 
 def assortativity_partials(edges: ray.data.Dataset, u: str,
@@ -1045,25 +1022,20 @@ def pyramid_error(blobs: ray.data.Dataset, id_col: str = "o_orderkey",
     chains store), upsample by repetition, and ledger Σ|v − up| and
     max|v − up| per raster — the QA number that decides whether a
     pyramid level is servable. Map-only, exact ints."""
-    from .terrain import _decode_batch
+    from .terrain import _per_raster
 
-    def f(t: pa.Table) -> pa.Table:
-        rows = {id_col: [], "abs_err": [], "max_err": []}
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            v = arr.astype(np.int64)
-            h2, w2 = v.shape[0] // 2, v.shape[1] // 2
-            q = v[:h2 * 2, :w2 * 2]
-            down = (q[0::2, 0::2] + q[0::2, 1::2]
-                    + q[1::2, 0::2] + q[1::2, 1::2]) // 4
-            up = np.repeat(np.repeat(down, 2, axis=0), 2, axis=1)
-            d = np.abs(q - up)
-            rows[id_col].append(rid)
-            rows["abs_err"].append(int(d.sum()))
-            rows["max_err"].append(int(d.max()))
-        return pa.table({k: pa.array(v_, pa.int64())
-                         for k, v_ in rows.items()})
+    def rows(arr):
+        v = arr.astype(np.int64)
+        h2, w2 = v.shape[0] // 2, v.shape[1] // 2
+        q = v[:h2 * 2, :w2 * 2]
+        down = (q[0::2, 0::2] + q[0::2, 1::2]
+                + q[1::2, 0::2] + q[1::2, 1::2]) // 4
+        up = np.repeat(np.repeat(down, 2, axis=0), 2, axis=1)
+        d = np.abs(q - up)
+        return [(int(d.sum()), int(d.max()))]
 
-    return blobs.map_batches(f, batch_format="pyarrow")
+    return _per_raster(blobs, bytes_col, id_col, ("abs_err", "max_err"),
+                       rows)
 
 
 def top_keyword(docs: ray.data.Dataset, text_col: str = "text",
@@ -1298,40 +1270,22 @@ def zone_adjacency(blobs: ray.data.Dataset, id_col: str = "o_orderkey",
     (4-connectivity, right+down shifted slices) — the decision input
     of dissolve/merge planning over classified rasters. Map-only,
     per-raster independent."""
-    from .terrain import _decode_batch
+    from .terrain import _per_raster
 
-    def f(t: pa.Table) -> pa.Table:
-        ids, zas, zbs, cnt = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            v = arr.astype(np.int64)
-            pairs = []
-            for pa_, pb_ in ((v[:, :-1], v[:, 1:]), (v[:-1, :], v[1:, :])):
-                a, b = pa_.ravel(), pb_.ravel()
-                m = a != b
-                lo = np.minimum(a[m], b[m])
-                hi = np.maximum(a[m], b[m])
-                pairs.append(np.stack([lo, hi], axis=1))
-            if not pairs:
-                continue
-            ap = np.concatenate(pairs)
-            if not len(ap):
-                continue
-            uq, c = np.unique(ap, axis=0, return_counts=True)
-            ids.append(np.full(len(uq), rid, dtype=np.int64))
-            zas.append(uq[:, 0])
-            zbs.append(uq[:, 1])
-            cnt.append(c.astype(np.int64))
-        if not ids:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "za": pa.array([], pa.int64()),
-                             "zb": pa.array([], pa.int64()),
-                             "boundary_px": pa.array([], pa.int64())})
-        return pa.table({id_col: pa.array(np.concatenate(ids)),
-                         "za": pa.array(np.concatenate(zas)),
-                         "zb": pa.array(np.concatenate(zbs)),
-                         "boundary_px": pa.array(np.concatenate(cnt))})
+    def rows(arr):
+        v = arr.astype(np.int64)
+        pairs = []
+        for pa_, pb_ in ((v[:, :-1], v[:, 1:]), (v[:-1, :], v[1:, :])):
+            a, b = pa_.ravel(), pb_.ravel()
+            m = a != b
+            pairs.append(np.stack([np.minimum(a[m], b[m]),
+                                   np.maximum(a[m], b[m])], axis=1))
+        uq, c = np.unique(np.concatenate(pairs), axis=0,
+                          return_counts=True)
+        return zip(uq[:, 0].tolist(), uq[:, 1].tolist(), c.tolist())
 
-    return blobs.map_batches(f, batch_format="pyarrow")
+    return _per_raster(blobs, bytes_col, id_col,
+                       ("za", "zb", "boundary_px"), rows)
 
 
 def euler_stats(blobs: ray.data.Dataset, thresh: int,
@@ -1343,31 +1297,22 @@ def euler_stats(blobs: ray.data.Dataset, thresh: int,
     two diagonal patterns). E4 = (Q1 − Q3 + 2QD)/4 (components minus
     8-connected holes), E8 = (Q1 − Q3 − 2QD)/4 — integer-exact image
     topology (hole counting) as a map-only per-raster ledger."""
-    from .terrain import _decode_batch
+    from .terrain import _per_raster
 
-    def f(t: pa.Table) -> pa.Table:
-        rows = {id_col: [], "q1": [], "q3": [], "qd": [],
-                "euler4": [], "euler8": []}
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            fg = np.zeros((arr.shape[0] + 2, arr.shape[1] + 2),
-                          dtype=np.int64)
-            fg[1:-1, 1:-1] = (arr >= thresh).astype(np.int64)
-            tl, tr = fg[:-1, :-1], fg[:-1, 1:]
-            bl, br = fg[1:, :-1], fg[1:, 1:]
-            s = tl + tr + bl + br
-            q1 = int((s == 1).sum())
-            q3 = int((s == 3).sum())
-            qd = int(((s == 2) & (tl == br) & (tl != tr)).sum())
-            rows[id_col].append(rid)
-            rows["q1"].append(q1)
-            rows["q3"].append(q3)
-            rows["qd"].append(qd)
-            rows["euler4"].append((q1 - q3 + 2 * qd) // 4)
-            rows["euler8"].append((q1 - q3 - 2 * qd) // 4)
-        return pa.table({k: pa.array(v, pa.int64())
-                         for k, v in rows.items()})
+    def rows(arr):
+        fg = np.zeros((arr.shape[0] + 2, arr.shape[1] + 2), dtype=np.int64)
+        fg[1:-1, 1:-1] = (arr >= thresh).astype(np.int64)
+        tl, tr = fg[:-1, :-1], fg[:-1, 1:]
+        bl, br = fg[1:, :-1], fg[1:, 1:]
+        s = tl + tr + bl + br
+        q1 = int((s == 1).sum())
+        q3 = int((s == 3).sum())
+        qd = int(((s == 2) & (tl == br) & (tl != tr)).sum())
+        return [(q1, q3, qd, (q1 - q3 + 2 * qd) // 4,
+                 (q1 - q3 - 2 * qd) // 4)]
 
-    return blobs.map_batches(f, batch_format="pyarrow")
+    return _per_raster(blobs, bytes_col, id_col,
+                       ("q1", "q3", "qd", "euler4", "euler8"), rows)
 
 
 def sax_words(ds: ray.data.Dataset, key: str, ord_col: str, val: str,

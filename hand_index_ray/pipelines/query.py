@@ -124,7 +124,10 @@ def roi_query_footprints(index_dir: str, roi_ring_lonlat: np.ndarray,
     files = man.files_for_bbox(index_dir, b[0], b[1], b[2], b[3])
     if not files:
         return None
-    ds = ray.data.read_parquet(files, filesystem=filesystem)
+    # partitioning=None: the hive key `cell=N` names the file's directory,
+    # which compaction changes; rows carry their own `part_cell`
+    ds = ray.data.read_parquet(files, filesystem=filesystem,
+                               partitioning=None)
     roi_ref = ray.put(wkb.encode(rag)[0])
 
     def match(t: pa.Table) -> pa.Table:
@@ -161,7 +164,8 @@ def roi_query_footprints_multi(index_dir: str,
         return None
     roi_ref = ray.put(prepared)
     box_ref = ray.put(boxes)
-    ds = ray.data.read_parquet(files, filesystem=filesystem)
+    ds = ray.data.read_parquet(files, filesystem=filesystem,
+                               partitioning=None)
 
     def match_all(t: pa.Table) -> pa.Table:
         blobs = ray.get(roi_ref)

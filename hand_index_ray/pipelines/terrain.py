@@ -30,8 +30,10 @@ engine-side version of that downstream math, each op a map-only
 
 Scale shape: every op is per-raster-independent — no shuffle, no
 driver materialization; partial aggregates stream out as small Arrow
-tables. Stateful pieces (zone masks) live in per-actor caches keyed
-by raster dims, built once per (actor, dims) not per batch.
+tables. Every map is a Ray task map: the per-raster operators share
+one batch shell (``_per_raster``) and keep only a row function, and
+the zonal stages map a class instance whose zone masks are cached
+per task, keyed by raster dims.
 """
 
 from __future__ import annotations
@@ -63,12 +65,29 @@ def _id_array(t: pa.Table, id_col: str, vals) -> pa.Array:
     return pa.array(vals, type=t.schema.field(id_col).type)
 
 
+def _per_raster(ds, bytes_col: str, id_col: str, cols, rows_of):
+    """Task map of ``rows_of(arr)`` over every decoded raster. Each
+    tuple it returns is one output row: the raster's id (input type
+    kept) followed by the values of ``cols``, all int64."""
+    def fn(t: pa.Table) -> pa.Table:
+        ids, rows = [], []
+        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
+            for row in rows_of(arr):
+                ids.append(rid)
+                rows.append(row)
+        vals = list(zip(*rows)) or [()] * len(cols)
+        return pa.table({id_col: _id_array(t, id_col, ids),
+                         **{c: pa.array(v, pa.int64())
+                            for c, v in zip(cols, vals)}})
+    return ds.map_batches(fn, batch_format="pyarrow")
+
+
 class ZonalStats:
-    """Actor-pool stage: per (raster, zone) nodata-aware masked
-    aggregates. Zones are WKB polygons evaluated at PIXEL CENTERS
-    ((col + 0.5, row + 0.5) in pixel space) with the even-odd
+    """Per (raster, zone) nodata-aware masked aggregates, mapped as an
+    instance in a task map. Zones are WKB polygons evaluated at PIXEL
+    CENTERS ((col + 0.5, row + 0.5) in pixel space) with the even-odd
     crossing-number kernel. The boolean mask per (dims, zone) is
-    computed once per actor and cached — zones and grid shapes repeat
+    computed once per task and cached — zones and grid shapes repeat
     across a corpus, blobs don't."""
 
     def __init__(self, zone_wkbs: list[bytes], bytes_col: str = "bytes",
@@ -112,19 +131,10 @@ class ZonalStats:
 
 
 def zonal_stats(ds, zone_wkbs, bytes_col: str = "bytes",
-                id_col: str = "path", concurrency=(1, 4)):
-    """Raster zonal statistics: one row per (raster, zone).
-
-    ``concurrency`` defaults to an AUTOSCALING pool (min 1): a fixed
-    pool sized at the cluster's CPU count reserves every CPU for the
-    actors and starves the upstream read tasks — on a small test
-    cluster that deadlocks the pipeline (observed live: 4 actors on a
-    4-CPU session left ReadParquet permanently backpressured)."""
-    return ds.map_batches(ZonalStats, batch_format="pyarrow",
-                          fn_constructor_kwargs={
-                              "zone_wkbs": zone_wkbs,
-                              "bytes_col": bytes_col, "id_col": id_col},
-                          concurrency=concurrency)
+                id_col: str = "path"):
+    """Raster zonal statistics: one row per (raster, zone)."""
+    return ds.map_batches(ZonalStats(zone_wkbs, bytes_col, id_col),
+                          batch_format="pyarrow")
 
 
 class ZonalStatsWindowed:
@@ -199,14 +209,11 @@ class ZonalStatsWindowed:
 
 
 def zonal_stats_windowed(ds, zone_wkbs, bytes_col: str = "bytes",
-                         id_col: str = "path", concurrency=(1, 4)):
+                         id_col: str = "path"):
     """Zonal statistics via COG window reads; one row per (raster,
     zone) with the touched-bytes evidence column."""
-    return ds.map_batches(ZonalStatsWindowed, batch_format="pyarrow",
-                          fn_constructor_kwargs={
-                              "zone_wkbs": zone_wkbs,
-                              "bytes_col": bytes_col, "id_col": id_col},
-                          concurrency=concurrency)
+    return ds.map_batches(ZonalStatsWindowed(zone_wkbs, bytes_col, id_col),
+                          batch_format="pyarrow")
 
 
 def _cc_labels(binm: np.ndarray, max_rounds: int = 10000) -> np.ndarray:
@@ -247,22 +254,16 @@ def polygonize_counts(ds, threshold: int, bytes_col: str = "bytes",
     component counts of the thresholded raster, per class. Rows
     (id, above, n_regions, n_px) for class above = v > threshold and
     class above = 0 (v <= threshold)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ab, nr, npx = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            b = arr > threshold
-            for above, m in ((1, b), (0, ~b)):
-                lab = _cc_labels(m)
-                regs = np.unique(lab[lab >= 0]).size
-                ids.append(rid)
-                ab.append(above)
-                nr.append(int(regs))
-                npx.append(int(m.sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "above": pa.array(ab, pa.int64()),
-                         "n_regions": pa.array(nr, pa.int64()),
-                         "n_px": pa.array(npx, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        b = arr > threshold
+        out = []
+        for above, m in ((1, b), (0, ~b)):
+            lab = _cc_labels(m)
+            out.append((above, int(np.unique(lab[lab >= 0]).size),
+                        int(m.sum())))
+        return out
+    return _per_raster(ds, bytes_col, id_col,
+                       ("above", "n_regions", "n_px"), rows)
 
 
 def nearest_site_counts(ds, sites, bytes_col: str = "bytes",
@@ -281,33 +282,28 @@ def nearest_site_counts(ds, sites, bytes_col: str = "bytes",
     sx2 = np.rint(sx * 2).astype(np.int64)
     sy2 = np.rint(sy * 2).astype(np.int64)
 
-    def fn(t: pa.Table) -> pa.Table:
-        ids, sid, cnt, ssum = [], [], [], []
-        cache: dict[tuple[int, int], np.ndarray] = {}
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            h, w = arr.shape
-            lab = cache.get((h, w))
-            if lab is None:
-                # doubled pixel-center coords (2x+1, 2y+1): exact ints
-                px = 2 * np.arange(w, dtype=np.int64) + 1
-                py = 2 * np.arange(h, dtype=np.int64) + 1
-                dx = px[None, :, None] - sx2[None, None, :]
-                dy = py[:, None, None] - sy2[None, None, :]
-                d2 = dx * dx + dy * dy
-                lab = d2.argmin(axis=2)   # first min = lowest site idx
-                cache[(h, w)] = lab
-            a = arr.astype(np.int64)
-            for s in range(len(sites)):
-                m = lab == s
-                ids.append(rid)
-                sid.append(s)
-                cnt.append(int(m.sum()))
-                ssum.append(int(a[m].sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "site": pa.array(sid, pa.int64()),
-                         "n_px": pa.array(cnt, pa.int64()),
-                         "site_sum": pa.array(ssum, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    cache: dict[tuple[int, int], np.ndarray] = {}
+
+    def rows(arr):
+        h, w = arr.shape
+        lab = cache.get((h, w))
+        if lab is None:
+            # doubled pixel-center coords (2x+1, 2y+1): exact ints
+            px = 2 * np.arange(w, dtype=np.int64) + 1
+            py = 2 * np.arange(h, dtype=np.int64) + 1
+            dx = px[None, :, None] - sx2[None, None, :]
+            dy = py[:, None, None] - sy2[None, None, :]
+            d2 = dx * dx + dy * dy
+            lab = d2.argmin(axis=2)   # first min = lowest site idx
+            cache[(h, w)] = lab
+        a = arr.astype(np.int64)
+        out = []
+        for s in range(len(sites)):
+            m = lab == s
+            out.append((s, int(m.sum()), int(a[m].sum())))
+        return out
+    return _per_raster(ds, bytes_col, id_col,
+                       ("site", "n_px", "site_sum"), rows)
 
 
 def _slope_one(arr: np.ndarray):
@@ -322,16 +318,9 @@ def _slope_one(arr: np.ndarray):
 def slope_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster gradient-magnitude stats over interior pixels:
     (grad_sum, grad_max, n_interior)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ss, mx, ns = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            s, m, n = _slope_one(arr)
-            ids.append(rid); ss.append(s); mx.append(m); ns.append(n)
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "grad_sum": pa.array(ss, pa.int64()),
-                         "grad_max": pa.array(mx, pa.int64()),
-                         "n_interior": pa.array(ns, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return _per_raster(ds, bytes_col, id_col,
+                       ("grad_sum", "grad_max", "n_interior"),
+                       lambda arr: [_slope_one(arr)])
 
 
 def _d8_one(arr: np.ndarray) -> np.ndarray:
@@ -354,19 +343,11 @@ def flow_direction_counts(ds, bytes_col: str = "bytes",
                           id_col: str = "path"):
     """Per-raster D8 direction histogram: rows (id, direction, n_px),
     direction in -1..7, only nonzero counts emitted."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, dirs, cnts = [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            d8 = _d8_one(arr)
-            cnt = np.bincount((d8 + 1).ravel(), minlength=9)
-            for code in np.nonzero(cnt)[0]:
-                ids.append(rid)
-                dirs.append(int(code) - 1)
-                cnts.append(int(cnt[code]))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "direction": pa.array(dirs, pa.int64()),
-                         "n_px": pa.array(cnts, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        cnt = np.bincount((_d8_one(arr) + 1).ravel(), minlength=9)
+        return [(int(code) - 1, int(cnt[code]))
+                for code in np.nonzero(cnt)[0]]
+    return _per_raster(ds, bytes_col, id_col, ("direction", "n_px"), rows)
 
 
 def _overview_levels(arr: np.ndarray, levels: int):
@@ -389,19 +370,11 @@ def overview_checksums(ds, levels: int = 2, bytes_col: str = "bytes",
                        id_col: str = "path"):
     """Per-raster overview-pyramid checksums: rows
     (id, level, px_sum, w, h) for levels 1..``levels``."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, lvls, sums, ws, hs = [], [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            for li, ov in enumerate(_overview_levels(arr, levels), 1):
-                ids.append(rid); lvls.append(li)
-                sums.append(int(ov.sum()))
-                hs.append(ov.shape[0]); ws.append(ov.shape[1])
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "level": pa.array(lvls, pa.int64()),
-                         "px_sum": pa.array(sums, pa.int64()),
-                         "w": pa.array(ws, pa.int64()),
-                         "h": pa.array(hs, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        return [(li, int(ov.sum()), ov.shape[1], ov.shape[0])
+                for li, ov in enumerate(_overview_levels(arr, levels), 1)]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("level", "px_sum", "w", "h"), rows)
 
 
 def _ms_cases(arr: np.ndarray, threshold: int) -> np.ndarray:
@@ -417,19 +390,10 @@ def contour_case_counts(ds, threshold: int, bytes_col: str = "bytes",
                         id_col: str = "path"):
     """Marching-squares cell classification vs ``threshold``: rows
     (id, ms_case, n_cells), case in 0..15, nonzero counts only."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, cases, cnts = [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            cnt = np.bincount(_ms_cases(arr, threshold).ravel(),
-                              minlength=16)
-            for code in np.nonzero(cnt)[0]:
-                ids.append(rid)
-                cases.append(int(code))
-                cnts.append(int(cnt[code]))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "ms_case": pa.array(cases, pa.int64()),
-                         "n_cells": pa.array(cnts, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        cnt = np.bincount(_ms_cases(arr, threshold).ravel(), minlength=16)
+        return [(int(code), int(cnt[code])) for code in np.nonzero(cnt)[0]]
+    return _per_raster(ds, bytes_col, id_col, ("ms_case", "n_cells"), rows)
 
 
 def _flow_terminals(arr: np.ndarray, drain_thresh=None):
@@ -480,24 +444,15 @@ def flow_path_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     (id, path_sum, path_max, n_pit, n_edge) — every path ends either
     at an interior pit/flat (n_pit) or leaves through the boundary
     ring (n_edge)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ps, pm, npit, nedge = [], [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            d, term = _flow_terminals(arr)
-            interior = _interior_flat(*arr.shape)
-            di, ti = d[interior], term[interior]
-            term_interior = interior[ti]
-            ids.append(rid)
-            ps.append(int(di.sum()))
-            pm.append(int(di.max()) if di.size else 0)
-            npit.append(int(term_interior.sum()))
-            nedge.append(int((~term_interior).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "path_sum": pa.array(ps, pa.int64()),
-                         "path_max": pa.array(pm, pa.int64()),
-                         "n_pit": pa.array(npit, pa.int64()),
-                         "n_edge": pa.array(nedge, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        d, term = _flow_terminals(arr)
+        interior = _interior_flat(*arr.shape)
+        di, ti = d[interior], term[interior]
+        term_interior = interior[ti]
+        return [(int(di.sum()), int(di.max()) if di.size else 0,
+                 int(term_interior.sum()), int((~term_interior).sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("path_sum", "path_max", "n_pit", "n_edge"), rows)
 
 
 def hand_stats(ds, drain_thresh: int, bytes_col: str = "bytes",
@@ -508,26 +463,19 @@ def hand_stats(ds, drain_thresh: int, bytes_col: str = "bytes",
     elevation minus the drainage cell's elevation for cells that
     reach drainage. Rows (id, n_drained, hand_sum, hand_max,
     n_undrained)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nd, hs, hm, nu = [], [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            _, term = _flow_terminals(arr, drain_thresh=drain_thresh)
-            v = arr.ravel().astype(np.int64)
-            interior = _interior_flat(*arr.shape)
-            vi, ti = v[interior], term[interior]
-            drained = v[ti] < drain_thresh
-            hand = vi[drained] - v[ti[drained]]
-            ids.append(rid)
-            nd.append(int(drained.sum()))
-            hs.append(int(hand.sum()))
-            hm.append(int(hand.max()) if hand.size else 0)
-            nu.append(int((~drained).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_drained": pa.array(nd, pa.int64()),
-                         "hand_sum": pa.array(hs, pa.int64()),
-                         "hand_max": pa.array(hm, pa.int64()),
-                         "n_undrained": pa.array(nu, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        _, term = _flow_terminals(arr, drain_thresh=drain_thresh)
+        v = arr.ravel().astype(np.int64)
+        interior = _interior_flat(*arr.shape)
+        vi, ti = v[interior], term[interior]
+        drained = v[ti] < drain_thresh
+        hand = vi[drained] - v[ti[drained]]
+        return [(int(drained.sum()), int(hand.sum()),
+                 int(hand.max()) if hand.size else 0,
+                 int((~drained).sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_drained", "hand_sum", "hand_max", "n_undrained"),
+                       rows)
 
 
 def flow_accumulation(ds, channel_thresh: int, bytes_col: str = "bytes",
@@ -566,17 +514,10 @@ def flow_accumulation(ds, channel_thresh: int, bytes_col: str = "bytes",
                 np.add.at(a, nxt[cells], a[cells])
         return a - interior  # exclude the cell itself
 
-    def fn(t: pa.Table) -> pa.Table:
-        ids, mx, nch = [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            acc = acc_of(arr)
-            ids.append(rid)
-            mx.append(int(acc.max()))
-            nch.append(int((acc >= channel_thresh).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "acc_max": pa.array(mx, pa.int64()),
-                         "n_channel": pa.array(nch, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        acc = acc_of(arr)
+        return [(int(acc.max()), int((acc >= channel_thresh).sum()))]
+    return _per_raster(ds, bytes_col, id_col, ("acc_max", "n_channel"), rows)
 
 
 def _morph_one(arr: np.ndarray):
@@ -592,19 +533,11 @@ def morphology_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster 3x3 morphological dilate/erode sums over interior
     pixels plus the gradient (dilate - erode) sum — the morphological
     edge detector."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, dsum, esum, gsum = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            di, er = _morph_one(arr)
-            ids.append(rid)
-            dsum.append(int(di.sum()))
-            esum.append(int(er.sum()))
-            gsum.append(int((di - er).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "dilate_sum": pa.array(dsum, pa.int64()),
-                         "erode_sum": pa.array(esum, pa.int64()),
-                         "mgrad_sum": pa.array(gsum, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        di, er = _morph_one(arr)
+        return [(int(di.sum()), int(er.sum()), int((di - er).sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("dilate_sum", "erode_sum", "mgrad_sum"), rows)
 
 
 def _bilinear_one(arr: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
@@ -638,56 +571,35 @@ def resample_bilinear(ds, out_w: int, out_h: int, bytes_col: str = "bytes",
                       id_col: str = "path"):
     """Integer-exact bilinear resample to (out_w, out_h): rows
     (id, bl_sum, bl_min, bl_max)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ss, mn, mx = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            r = _bilinear_one(arr, out_w, out_h)
-            ids.append(rid)
-            ss.append(int(r.sum())); mn.append(int(r.min())); mx.append(int(r.max()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "bl_sum": pa.array(ss, pa.int64()),
-                         "bl_min": pa.array(mn, pa.int64()),
-                         "bl_max": pa.array(mx, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        r = _bilinear_one(arr, out_w, out_h)
+        return [(int(r.sum()), int(r.min()), int(r.max()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("bl_sum", "bl_min", "bl_max"), rows)
 
 
 def rle_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Row-wise run-length statistics (compression planning for the
     tile store): rows (id, n_runs, max_run). Runs never span rows —
     every row start opens a run, matching TIFF strip semantics."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nr, mr = [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            starts = np.ones(arr.shape, bool)
-            starts[:, 1:] = arr[:, 1:] != arr[:, :-1]
-            flat = starts.ravel()           # row-major; x=0 always True
-            pos = np.flatnonzero(flat)
-            lens = np.diff(np.r_[pos, flat.size])
-            ids.append(rid)
-            nr.append(int(pos.size))
-            mr.append(int(lens.max()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_runs": pa.array(nr, pa.int64()),
-                         "max_run": pa.array(mr, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        starts = np.ones(arr.shape, bool)
+        starts[:, 1:] = arr[:, 1:] != arr[:, :-1]
+        flat = starts.ravel()           # row-major; x=0 always True
+        pos = np.flatnonzero(flat)
+        lens = np.diff(np.r_[pos, flat.size])
+        return [(int(pos.size), int(lens.max()))]
+    return _per_raster(ds, bytes_col, id_col, ("n_runs", "max_run"), rows)
 
 
 def value_histogram(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster exact value histogram (small non-negative integer
     domains): rows (id, value, n_px), nonzero counts only — one
     bincount per raster, map-only partials."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, vals, cnts = [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            c = np.bincount(arr.ravel().astype(np.int64))
-            for v in np.nonzero(c)[0]:
-                ids.append(rid)
-                vals.append(int(v))
-                cnts.append(int(c[v]))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "value": pa.array(vals, pa.int64()),
-                         "n_px": pa.array(cnts, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        c = np.bincount(arr.ravel().astype(np.int64))
+        return [(int(v), int(c[v])) for v in np.nonzero(c)[0]]
+    return _per_raster(ds, bytes_col, id_col, ("value", "n_px"), rows)
 
 
 def mosaic_max(ds, group_col: str, bytes_col: str = "bytes"):
@@ -723,17 +635,11 @@ def resample_nn(ds, out_w: int, out_h: int, bytes_col: str = "bytes",
                 id_col: str = "path"):
     """Per-raster nearest-neighbor resample to (out_w, out_h):
     rows (id, rs_sum, rs_min, rs_max) over the resampled grid."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ss, mn, mx = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            r = _resample_nn_one(arr, out_w, out_h).astype(np.int64)
-            ids.append(rid)
-            ss.append(int(r.sum())); mn.append(int(r.min())); mx.append(int(r.max()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "rs_sum": pa.array(ss, pa.int64()),
-                         "rs_min": pa.array(mn, pa.int64()),
-                         "rs_max": pa.array(mx, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        r = _resample_nn_one(arr, out_w, out_h).astype(np.int64)
+        return [(int(r.sum()), int(r.min()), int(r.max()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("rs_sum", "rs_min", "rs_max"), rows)
 
 
 def _hillshade_one(arr: np.ndarray, lx: int, ly: int, lz_k: int):
@@ -754,16 +660,9 @@ def hillshade_stats(ds, lx: int = 2, ly: int = 3, lz_k: int = 128,
                     bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster integer hillshade aggregates (shade_sum, n_shadow,
     n_interior) — the directional-light sibling of slope_stats."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ss, sh, ns = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            s, d, n = _hillshade_one(arr, lx, ly, lz_k)
-            ids.append(rid); ss.append(s); sh.append(d); ns.append(n)
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "shade_sum": pa.array(ss, pa.int64()),
-                         "n_shadow": pa.array(sh, pa.int64()),
-                         "n_interior": pa.array(ns, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return _per_raster(ds, bytes_col, id_col,
+                       ("shade_sum", "n_shadow", "n_interior"),
+                       lambda arr: [_hillshade_one(arr, lx, ly, lz_k)])
 
 
 def row_viewshed_batch(h: np.ndarray) -> np.ndarray:
@@ -800,21 +699,14 @@ def laplacian_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     — the second-derivative sibling of slope_stats/hillshade_stats
     (curvature drives flow convergence in HAND-style terrain
     analysis). Pure shifted-slice integer arithmetic."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, asum, ncc, ncv = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            v = arr.astype(np.int64)
-            lap = (v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2]
-                   + v[1:-1, 2:] - 4 * v[1:-1, 1:-1])
-            ids.append(rid)
-            asum.append(int(np.abs(lap).sum()))
-            ncc.append(int((lap > 0).sum()))
-            ncv.append(int((lap < 0).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "abs_sum": pa.array(asum, pa.int64()),
-                         "n_concave": pa.array(ncc, pa.int64()),
-                         "n_convex": pa.array(ncv, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        v = arr.astype(np.int64)
+        lap = (v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2]
+               + v[1:-1, 2:] - 4 * v[1:-1, 1:-1])
+        return [(int(np.abs(lap).sum()), int((lap > 0).sum()),
+                 int((lap < 0).sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("abs_sum", "n_concave", "n_convex"), rows)
 
 
 def fill_depressions(arr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -861,20 +753,11 @@ def fill_depression_stats(ds, bytes_col: str = "bytes",
     """Per-raster depression-fill aggregates over GeoTIFF blobs:
     fill_volume = Σ (filled − dem), n_filled = cells raised, max_raise
     = deepest fill. Map-only; see ``fill_depressions``."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, vol, nf, mx = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            w, _ = fill_depressions(arr)
-            d = w - arr.astype(np.int64)
-            ids.append(rid)
-            vol.append(int(d.sum()))
-            nf.append(int((d > 0).sum()))
-            mx.append(int(d.max()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "fill_volume": pa.array(vol, pa.int64()),
-                         "n_filled": pa.array(nf, pa.int64()),
-                         "max_raise": pa.array(mx, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        d = fill_depressions(arr)[0] - arr.astype(np.int64)
+        return [(int(d.sum()), int((d > 0).sum()), int(d.max()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("fill_volume", "n_filled", "max_raise"), rows)
 
 
 def squared_edt(feat: np.ndarray) -> np.ndarray:
@@ -910,20 +793,12 @@ def edt_stats(ds, feature_thresh: int, bytes_col: str = "bytes",
     strictly below ``feature_thresh`` (proximity-to-drainage rasters —
     the Euclidean sibling of the reference's HAND product): d2_sum,
     d2_max, n_feat."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, s, m, nf = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            feat = arr < feature_thresh
-            d2 = squared_edt(feat)
-            ids.append(rid)
-            s.append(int(d2.sum()))
-            m.append(int(d2.max()))
-            nf.append(int(feat.sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "d2_sum": pa.array(s, pa.int64()),
-                         "d2_max": pa.array(m, pa.int64()),
-                         "n_feat": pa.array(nf, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        feat = arr < feature_thresh
+        d2 = squared_edt(feat)
+        return [(int(d2.sum()), int(d2.max()), int(feat.sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("d2_sum", "d2_max", "n_feat"), rows)
 
 
 def moran_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
@@ -939,24 +814,16 @@ def moran_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     float drift in the shuffled parts (the division happens at the
     reader). Spatial autocorrelation is the standard QC gate for
     interpolated terrain products."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, num, den, ws = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            v = arr.astype(np.int64)
-            h, w = v.shape
-            n = h * w
-            dev = n * v - v.sum()
-            horiz = (dev[:, :-1] * dev[:, 1:]).sum()
-            vert = (dev[:-1, :] * dev[1:, :]).sum()
-            ids.append(rid)
-            num.append(int(2 * (horiz + vert)))
-            den.append(int((dev * dev).sum()))
-            ws.append(int(2 * (h * (w - 1) + w * (h - 1))))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "num_scaled": pa.array(num, pa.int64()),
-                         "den_scaled": pa.array(den, pa.int64()),
-                         "w_sum": pa.array(ws, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        v = arr.astype(np.int64)
+        h, w = v.shape
+        dev = h * w * v - v.sum()
+        horiz = (dev[:, :-1] * dev[:, 1:]).sum()
+        vert = (dev[:-1, :] * dev[1:, :]).sum()
+        return [(int(2 * (horiz + vert)), int((dev * dev).sum()),
+                 int(2 * (h * (w - 1) + w * (h - 1))))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("num_scaled", "den_scaled", "w_sum"), rows)
 
 
 def cost_distance(arr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -995,19 +862,11 @@ def cost_distance_stats(ds, bytes_col: str = "bytes",
     """Per-raster accumulated-cost aggregates (west-edge sources):
     cost_sum, cost_max, east_min = cheapest full west→east crossing
     (the corridor-analysis number)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, s, m, em = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            d, _ = cost_distance(arr)
-            ids.append(rid)
-            s.append(int(d.sum()))
-            m.append(int(d.max()))
-            em.append(int(d[:, -1].min()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "cost_sum": pa.array(s, pa.int64()),
-                         "cost_max": pa.array(m, pa.int64()),
-                         "east_min": pa.array(em, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        d, _ = cost_distance(arr)
+        return [(int(d.sum()), int(d.max()), int(d[:, -1].min()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("cost_sum", "cost_max", "east_min"), rows)
 
 
 def otsu_threshold(arr: np.ndarray, nlevels: int) -> tuple[int, int, int]:
@@ -1042,19 +901,9 @@ def otsu_stats(ds, nlevels: int = 64, bytes_col: str = "bytes",
                id_col: str = "path"):
     """Per-raster exact Otsu threshold + the winning between-class
     variance as the exact fraction (bcv_num, bcv_den)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ts_, nums, dens = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            tt, bn, bd = otsu_threshold(arr, nlevels)
-            ids.append(rid)
-            ts_.append(tt)
-            nums.append(bn)
-            dens.append(bd)
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "otsu_t": pa.array(ts_, pa.int64()),
-                         "bcv_num": pa.array(nums, pa.int64()),
-                         "bcv_den": pa.array(dens, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return _per_raster(ds, bytes_col, id_col,
+                       ("otsu_t", "bcv_num", "bcv_den"),
+                       lambda arr: [otsu_threshold(arr, nlevels)])
 
 
 def seam_bottom_costs(arr: np.ndarray) -> np.ndarray:
@@ -1084,19 +933,12 @@ def seam_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster cheapest-vertical-seam aggregates: seam_min (the
     seam the first removal would take), seam_argmin (its bottom
     column, ties → smallest), bottom_sum (Σ of the DP bottom row)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, mn, am, sm = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            d = seam_bottom_costs(arr)
-            ids.append(rid)
-            mn.append(int(d.min()))
-            am.append(int(np.flatnonzero(d == d.min())[0]))
-            sm.append(int(d.sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "seam_min": pa.array(mn, pa.int64()),
-                         "seam_argmin": pa.array(am, pa.int64()),
-                         "bottom_sum": pa.array(sm, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        d = seam_bottom_costs(arr)
+        return [(int(d.min()), int(np.flatnonzero(d == d.min())[0]),
+                 int(d.sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("seam_min", "seam_argmin", "bottom_sum"), rows)
 
 
 def glcm_features(arr: np.ndarray, nlevels: int) -> tuple[int, int, int, int]:
@@ -1118,18 +960,9 @@ def glcm_features(arr: np.ndarray, nlevels: int) -> tuple[int, int, int, int]:
 def glcm_stats(ds, nlevels: int = 64, bytes_col: str = "bytes",
                id_col: str = "path"):
     """Per-raster GLCM texture features (map-only, no shuffle)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, co, en, mx, di = [], [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            c, e, m, d = glcm_features(arr, nlevels)
-            ids.append(rid); co.append(c); en.append(e)
-            mx.append(m); di.append(d)
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "contrast": pa.array(co, pa.int64()),
-                         "energy": pa.array(en, pa.int64()),
-                         "glcm_max": pa.array(mx, pa.int64()),
-                         "glcm_distinct": pa.array(di, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return _per_raster(ds, bytes_col, id_col,
+                       ("contrast", "energy", "glcm_max", "glcm_distinct"),
+                       lambda arr: [glcm_features(arr, nlevels)])
 
 
 def median3_interior(arr: np.ndarray) -> np.ndarray:
@@ -1148,20 +981,12 @@ def median_filter_stats(ds, bytes_col: str = "bytes",
     """Per-raster 3×3 median-filter aggregates over the interior:
     med_sum (Σ of filtered values), med_max, and n_changed (pixels the
     filter altered — the denoise-activity count)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, sm, mx, ch = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            med = median3_interior(arr)
-            ctr = arr.astype(np.int64)[1:-1, 1:-1]
-            ids.append(rid)
-            sm.append(int(med.sum()))
-            mx.append(int(med.max()))
-            ch.append(int((med != ctr).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "med_sum": pa.array(sm, pa.int64()),
-                         "med_max": pa.array(mx, pa.int64()),
-                         "n_changed": pa.array(ch, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        med = median3_interior(arr)
+        ctr = arr.astype(np.int64)[1:-1, 1:-1]
+        return [(int(med.sum()), int(med.max()), int((med != ctr).sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("med_sum", "med_max", "n_changed"), rows)
 
 
 def quadtree_leaves(arr: np.ndarray) -> tuple[int, int, int]:
@@ -1203,16 +1028,9 @@ def quadtree_leaves(arr: np.ndarray) -> tuple[int, int, int]:
 
 def quadtree_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster quadtree leaf counts (map-only)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nl, ns, ms = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            a, b, c = quadtree_leaves(arr)
-            ids.append(rid); nl.append(a); ns.append(b); ms.append(c)
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "qt_leaves": pa.array(nl, pa.int64()),
-                         "qt_solid": pa.array(ns, pa.int64()),
-                         "qt_max_side": pa.array(ms, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    return _per_raster(ds, bytes_col, id_col,
+                       ("qt_leaves", "qt_solid", "qt_max_side"),
+                       lambda arr: [quadtree_leaves(arr)])
 
 
 def ssim_global(a: np.ndarray, b: np.ndarray, c1: int = 1,
@@ -1277,21 +1095,10 @@ def hog_octants(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def hog_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster HOG octant histogram, long form (id, octant, n_px,
     wsum); empty octants are omitted."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, octs, ns, ws = [], [], [], []
-        raw = t.column(id_col).to_pylist()
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            cnt, w = hog_octants(arr)
-            for o in range(8):
-                if cnt[o]:
-                    ids.append(rid); octs.append(o)
-                    ns.append(int(cnt[o])); ws.append(int(w[o]))
-        _ = raw
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "octant": pa.array(octs, pa.int64()),
-                         "n_px": pa.array(ns, pa.int64()),
-                         "wsum": pa.array(ws, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        cnt, w = hog_octants(arr)
+        return [(o, int(cnt[o]), int(w[o])) for o in range(8) if cnt[o]]
+    return _per_raster(ds, bytes_col, id_col, ("octant", "n_px", "wsum"), rows)
 
 
 def strahler_orders(arr: np.ndarray) -> np.ndarray:
@@ -1344,18 +1151,10 @@ def strahler_orders(arr: np.ndarray) -> np.ndarray:
 def strahler_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster Strahler order histogram, long form (id, strahler,
     n_cells)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, orders, ns = [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            o = strahler_orders(arr)
-            for val in np.unique(o):
-                ids.append(rid)
-                orders.append(int(val))
-                ns.append(int((o == val).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "strahler": pa.array(orders, pa.int64()),
-                         "n_cells": pa.array(ns, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        o = strahler_orders(arr)
+        return [(int(val), int((o == val).sum())) for val in np.unique(o)]
+    return _per_raster(ds, bytes_col, id_col, ("strahler", "n_cells"), rows)
 
 
 def watershed_labels(arr: np.ndarray) -> np.ndarray:
@@ -1398,20 +1197,12 @@ def watershed_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster watershed aggregates: basin count, largest basin
     size, and the sum over cells of their sink index (a
     label-assignment checksum)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nb, mb, ss = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            lab = watershed_labels(arr)
-            _, counts = np.unique(lab, return_counts=True)
-            ids.append(rid)
-            nb.append(len(counts))
-            mb.append(int(counts.max()))
-            ss.append(int(lab.sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_basins": pa.array(nb, pa.int64()),
-                         "max_basin": pa.array(mb, pa.int64()),
-                         "sink_sum": pa.array(ss, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        lab = watershed_labels(arr)
+        _, counts = np.unique(lab, return_counts=True)
+        return [(len(counts), int(counts.max()), int(lab.sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_basins", "max_basin", "sink_sum"), rows)
 
 
 def largest_zero_rect(mask: np.ndarray) -> tuple[int, int]:
@@ -1461,18 +1252,11 @@ def largest_rect_stats(ds, thresh: int, bytes_col: str = "bytes",
     """Per-raster largest rectangle of cells with v < thresh (the
     'largest buildable flat patch' query): max area, count of
     rectangles achieving it, and the mask cell count."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ar, na, nm = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            m = arr.astype(np.int64) < thresh
-            a, n = largest_zero_rect(m)
-            ids.append(rid); ar.append(a); na.append(n)
-            nm.append(int(m.sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "max_area": pa.array(ar, pa.int64()),
-                         "n_at_max": pa.array(na, pa.int64()),
-                         "n_mask": pa.array(nm, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        m = arr.astype(np.int64) < thresh
+        return [(*largest_zero_rect(m), int(m.sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("max_area", "n_at_max", "n_mask"), rows)
 
 
 def tophat_core(arr: np.ndarray) -> np.ndarray:
@@ -1496,19 +1280,11 @@ def tophat_core(arr: np.ndarray) -> np.ndarray:
 def tophat_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster white top-hat aggregates over the core: sum, max,
     and the count of strictly positive responses."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, sm, mx, np_ = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            th = tophat_core(arr)
-            ids.append(rid)
-            sm.append(int(th.sum()))
-            mx.append(int(th.max()))
-            np_.append(int((th > 0).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "tophat_sum": pa.array(sm, pa.int64()),
-                         "tophat_max": pa.array(mx, pa.int64()),
-                         "n_pos": pa.array(np_, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        th = tophat_core(arr)
+        return [(int(th.sum()), int(th.max()), int((th > 0).sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("tophat_sum", "tophat_max", "n_pos"), rows)
 
 
 def histogram_match(a: np.ndarray, b: np.ndarray,
@@ -1571,19 +1347,11 @@ def hotspot_stats(ds, num: int = 2, den: int = 1,
                   bytes_col: str = "bytes", id_col: str = "path"):
     """Per-raster hotspot aggregates: hot-cell count, max local sum,
     and the interior local-sum checksum."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nh, mx, sm = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            hot, loc, _ = hotspot_core(arr, num, den)
-            ids.append(rid)
-            nh.append(int(hot.sum()))
-            mx.append(int(loc.max()))
-            sm.append(int(loc.sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_hot": pa.array(nh, pa.int64()),
-                         "max_local": pa.array(mx, pa.int64()),
-                         "local_sum": pa.array(sm, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        hot, loc, _ = hotspot_core(arr, num, den)
+        return [(int(hot.sum()), int(loc.max()), int(loc.sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_hot", "max_local", "local_sum"), rows)
 
 
 def edge_nms_core(arr: np.ndarray, thresh2: int):
@@ -1631,19 +1399,11 @@ def edge_nms_stats(ds, thresh2: int, bytes_col: str = "bytes",
                    id_col: str = "path"):
     """Per-raster thinned-edge aggregates: surviving-pixel count, the
     sum of their squared magnitudes, and the max core mag²."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ne, sm, mx = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            keep, m = edge_nms_core(arr, thresh2)
-            ids.append(rid)
-            ne.append(int(keep.sum()))
-            sm.append(int(m[keep].sum()))
-            mx.append(int(m.max()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_edges": pa.array(ne, pa.int64()),
-                         "edge_mag2_sum": pa.array(sm, pa.int64()),
-                         "max_mag2": pa.array(mx, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        keep, m = edge_nms_core(arr, thresh2)
+        return [(int(keep.sum()), int(m[keep].sum()), int(m.max()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_edges", "edge_mag2_sum", "max_mag2"), rows)
 
 
 def rlsa_horizontal(mask: np.ndarray, gap: int):
@@ -1670,22 +1430,15 @@ def rlsa_stats(ds, thresh: int, gap: int, bytes_col: str = "bytes",
     set-pixel count before, newly filled count, and the number of
     horizontal runs after smoothing (the block count layout analysis
     consumes)."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nb, nf, nr = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            m = arr.astype(np.int64) < thresh
-            sm = rlsa_horizontal(m, gap)
-            starts = sm & ~np.pad(sm[:, :-1], ((0, 0), (1, 0)),
-                                  constant_values=False)
-            ids.append(rid)
-            nb.append(int(m.sum()))
-            nf.append(int(sm.sum()) - int(m.sum()))
-            nr.append(int(starts.sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_set": pa.array(nb, pa.int64()),
-                         "n_filled": pa.array(nf, pa.int64()),
-                         "n_runs": pa.array(nr, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        m = arr.astype(np.int64) < thresh
+        sm = rlsa_horizontal(m, gap)
+        starts = sm & ~np.pad(sm[:, :-1], ((0, 0), (1, 0)),
+                              constant_values=False)
+        return [(int(m.sum()), int(sm.sum()) - int(m.sum()),
+                 int(starts.sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_set", "n_filled", "n_runs"), rows)
 
 
 def hysteresis_core(arr: np.ndarray, lo2: int, hi2: int):
@@ -1721,21 +1474,13 @@ def hysteresis_stats(ds, lo2: int, hi2: int, bytes_col: str = "bytes",
     """Per-raster hysteresis-linking aggregates: strong count, weak
     count, weak pixels linked to an edge, and the mag² sum over the
     final (strong + linked) edge set."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, ns, nw, nl, sm = [], [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            s, w, l, m = hysteresis_core(arr, lo2, hi2)
-            ids.append(rid)
-            ns.append(int(s.sum()))
-            nw.append(int(w.sum()))
-            nl.append(int(l.sum()))
-            sm.append(int(m[s | l].sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_strong": pa.array(ns, pa.int64()),
-                         "n_weak": pa.array(nw, pa.int64()),
-                         "n_linked": pa.array(nl, pa.int64()),
-                         "edge_mag2_sum": pa.array(sm, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        s, w, l, m = hysteresis_core(arr, lo2, hi2)
+        return [(int(s.sum()), int(w.sum()), int(l.sum()),
+                 int(m[s | l].sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_strong", "n_weak", "n_linked", "edge_mag2_sum"),
+                       rows)
 
 
 def zhang_suen_core(mask: np.ndarray) -> tuple:
@@ -1777,21 +1522,13 @@ def skeleton_stats(ds, thresh: int, bytes_col: str = "bytes",
     """Per-raster Zhang–Suen skeleton aggregates over the mask
     v ≥ thresh: set pixels before, skeleton pixels after, and the
     position checksum Σ (x + 100·y) over the skeleton."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nb, ns, cs = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            mask = arr.astype(np.int64) >= thresh
-            sk, _ = zhang_suen_core(mask)
-            yy, xx = np.nonzero(sk)
-            ids.append(rid)
-            nb.append(int(mask.sum()))
-            ns.append(int(sk.sum()))
-            cs.append(int((xx + 100 * yy).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_set": pa.array(nb, pa.int64()),
-                         "n_skel": pa.array(ns, pa.int64()),
-                         "pos_sum": pa.array(cs, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        mask = arr.astype(np.int64) >= thresh
+        sk, _ = zhang_suen_core(mask)
+        yy, xx = np.nonzero(sk)
+        return [(int(mask.sum()), int(sk.sum()), int((xx + 100 * yy).sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_set", "n_skel", "pos_sum"), rows)
 
 
 def mode_filter_stats(ds, nvals: int, bytes_col: str = "bytes",
@@ -1803,30 +1540,24 @@ def mode_filter_stats(ds, nvals: int, bytes_col: str = "bytes",
     one shifted-slice count pass per label value (nvals × 9 adds, no
     per-pixel loop). Reports changed-pixel count and the mode-grid
     checksum per raster."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nc, cs = [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            v = arr.astype(np.int64)
-            H, W = v.shape
-            sh = {(dy, dx): v[1 + dy:H - 1 + dy or None,
-                              1 + dx:W - 1 + dx or None]
-                  for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
-            cnt = np.zeros((nvals, H - 2, W - 2), np.int64)
-            for c in range(nvals):
-                for s in sh.values():
-                    cnt[c] += s == c
-            # argmax with smallest-value tie-break = plain argmax
-            # (np.argmax returns the FIRST max index)
-            mode = cnt.argmax(axis=0)
-            ctr = v[1:-1, 1:-1]
-            ids.append(rid)
-            nc.append(int((mode != ctr).sum()))
-            yy, xx = np.indices(mode.shape)
-            cs.append(int((mode * (1 + xx + 100 * yy)).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_changed": pa.array(nc, pa.int64()),
-                         "mode_checksum": pa.array(cs, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        v = arr.astype(np.int64)
+        H, W = v.shape
+        sh = {(dy, dx): v[1 + dy:H - 1 + dy or None,
+                          1 + dx:W - 1 + dx or None]
+              for dy in (-1, 0, 1) for dx in (-1, 0, 1)}
+        cnt = np.zeros((nvals, H - 2, W - 2), np.int64)
+        for c in range(nvals):
+            for s in sh.values():
+                cnt[c] += s == c
+        # argmax with smallest-value tie-break = plain argmax
+        # (np.argmax returns the FIRST max index)
+        mode = cnt.argmax(axis=0)
+        yy, xx = np.indices(mode.shape)
+        return [(int((mode != v[1:-1, 1:-1]).sum()),
+                 int((mode * (1 + xx + 100 * yy)).sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_changed", "mode_checksum"), rows)
 
 
 def zonal_majority(ds, band_h: int, nclasses: int, div: int,
@@ -1892,31 +1623,25 @@ def lbp_stats(ds, bytes_col: str = "bytes", id_col: str = "path"):
     offs = [(0, -1), (-1, -1), (-1, 0), (-1, 1),
             (0, 1), (1, 1), (1, 0), (1, -1)]
 
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nu, cs, nd = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            v = arr.astype(np.int64)
-            H, W = v.shape
-            c = v[1:-1, 1:-1]
-            code = np.zeros_like(c)
-            for b, (dy, dx) in enumerate(offs):
-                nb = v[1 + dy:H - 1 + dy or None,
-                       1 + dx:W - 1 + dx or None]
-                code |= ((nb >= c).astype(np.int64) << b)
-            rot = code ^ ((code >> 1) | ((code & 1) << 7))
-            trans = np.zeros_like(code)
-            for b in range(8):
-                trans += (rot >> b) & 1
-            hist = np.bincount(code.ravel(), minlength=256)
-            ids.append(rid)
-            nu.append(int((trans <= 2).sum()))
-            cs.append(int((np.arange(256) * hist).sum()))
-            nd.append(int((hist > 0).sum()))
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_uniform": pa.array(nu, pa.int64()),
-                         "code_checksum": pa.array(cs, pa.int64()),
-                         "n_codes": pa.array(nd, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        v = arr.astype(np.int64)
+        H, W = v.shape
+        c = v[1:-1, 1:-1]
+        code = np.zeros_like(c)
+        for b, (dy, dx) in enumerate(offs):
+            nb = v[1 + dy:H - 1 + dy or None,
+                   1 + dx:W - 1 + dx or None]
+            code |= ((nb >= c).astype(np.int64) << b)
+        rot = code ^ ((code >> 1) | ((code & 1) << 7))
+        trans = np.zeros_like(code)
+        for b in range(8):
+            trans += (rot >> b) & 1
+        hist = np.bincount(code.ravel(), minlength=256)
+        return [(int((trans <= 2).sum()),
+                 int((np.arange(256) * hist).sum()),
+                 int((hist > 0).sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_uniform", "code_checksum", "n_codes"), rows)
 
 
 def blob_stats(ds, thresh: int, bytes_col: str = "bytes",
@@ -1926,44 +1651,30 @@ def blob_stats(ds, thresh: int, bytes_col: str = "bytes",
     blob's min flat pixel index (a label checksum the SQL oracle can
     reproduce). Vectorized min-label propagation to fixpoint per
     image — map-only across the corpus."""
-    def fn(t: pa.Table) -> pa.Table:
-        ids, nc, mx, ck = [], [], [], []
-        for rid, arr, _ in _decode_batch(t, bytes_col, id_col):
-            m = arr.astype(np.int64) >= thresh
-            H, W = m.shape
-            lbl = np.where(m, np.arange(H * W).reshape(H, W),
-                           np.int64(H * W))
-            while True:
-                p = np.pad(lbl, 1, constant_values=H * W)
-                best = lbl.copy()
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        if dy or dx:
-                            np.minimum(best,
-                                       p[1 + dy:H + 1 + dy,
-                                         1 + dx:W + 1 + dx],
-                                       out=best)
-                best = np.where(m, best, H * W)
-                if (best == lbl).all():
-                    break
-                lbl = best
-            labs = lbl[m]
-            if len(labs):
-                u, cnt = np.unique(labs, return_counts=True)
-                ids.append(rid)
-                nc.append(len(u))
-                mx.append(int(cnt.max()))
-                ck.append(int(u.sum()))
-            else:
-                ids.append(rid)
-                nc.append(0)
-                mx.append(0)
-                ck.append(0)
-        return pa.table({id_col: _id_array(t, id_col, ids),
-                         "n_blobs": pa.array(nc, pa.int64()),
-                         "max_blob": pa.array(mx, pa.int64()),
-                         "label_checksum": pa.array(ck, pa.int64())})
-    return ds.map_batches(fn, batch_format="pyarrow")
+    def rows(arr):
+        m = arr.astype(np.int64) >= thresh
+        H, W = m.shape
+        lbl = np.where(m, np.arange(H * W).reshape(H, W), np.int64(H * W))
+        while True:
+            p = np.pad(lbl, 1, constant_values=H * W)
+            best = lbl.copy()
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if dy or dx:
+                        np.minimum(best,
+                                   p[1 + dy:H + 1 + dy, 1 + dx:W + 1 + dx],
+                                   out=best)
+            best = np.where(m, best, H * W)
+            if (best == lbl).all():
+                break
+            lbl = best
+        labs = lbl[m]
+        if not len(labs):
+            return [(0, 0, 0)]
+        u, cnt = np.unique(labs, return_counts=True)
+        return [(len(u), int(cnt.max()), int(u.sum()))]
+    return _per_raster(ds, bytes_col, id_col,
+                       ("n_blobs", "max_blob", "label_checksum"), rows)
 
 
 def hgt_window_stats(ds, r0: int, r1: int, c0: int, c1: int,

@@ -148,21 +148,25 @@ def _wide_rois(index_dir):
 
 def test_roi_query_many_files_matches_compacted(compacted):
     """An ROI over more than 32 build files returns the same rows as
-    the same query over the compacted index."""
+    the same query over the compacted index, every column exact, in
+    the single and the multi-ROI query."""
     from hand_index_ray.kernels import geom, wkb
-    from hand_index_ray.pipelines.query import roi_query_footprints
+    from hand_index_ray.pipelines.query import (roi_query_footprints,
+                                                roi_query_footprints_multi)
 
     built, idx = compacted["built"], compacted["dir"]
     for name, ring in _wide_rois(built).items():
         b = geom.bounds(wkb.from_parts([[[ring]]]))[0]
         assert len(Manifest(built).files_for_bbox(built, *b)) > 32, name
-        # `cell` is the hive key of the file's directory, which
-        # compaction changes; every stored column must match
         got, want = (roi_query_footprints(d, ring, 10.0, CFG).to_pandas()
-                     .drop(columns="cell")
                      .sort_values("image_id").reset_index(drop=True)
                      for d in (built, idx))
         assert len(want) > 0, name
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
+        got, want = (roi_query_footprints_multi(d, {name: ring}, 10.0, CFG)
+                     .to_pandas().sort_values("image_id")
+                     .reset_index(drop=True)
+                     for d in (built, idx))
         pd.testing.assert_frame_equal(got, want, check_exact=True)
 
 

@@ -146,6 +146,33 @@ def _catalog_paths():
         assert len(raster.catalog_paths(paths).to_pandas()) == 4
 
 
+def _zonal_rasters():
+    import ray.data
+
+    from hand_index_ray.kernels import geotiff, wkb
+
+    tri = np.array([[1.5, 1.5], [14.5, 2.5], [7.5, 13.5], [1.5, 1.5]])
+    zone = wkb.encode(wkb.from_parts([[[tri]]]))[0]
+    blobs = [geotiff.encode_geotiff(np.full((16, 16), i, np.int32),
+                                    tile=(16, 16)) for i in range(4)]
+    ds = ray.data.from_arrow(pa.table({"path": [f"r{i}" for i in range(4)],
+                                       "bytes": pa.array(blobs, pa.binary())}))
+    return ds, [zone]
+
+
+def _zonal_stats():
+    from hand_index_ray.pipelines import terrain
+
+    assert len(terrain.zonal_stats(*_zonal_rasters()).to_pandas()) == 4
+
+
+def _zonal_stats_windowed():
+    from hand_index_ray.pipelines import terrain
+
+    out = terrain.zonal_stats_windowed(*_zonal_rasters()).to_pandas()
+    assert len(out) == 4
+
+
 def _wait_for_cpus(ray, want: float, timeout_s: float = 5.0) -> float:
     end = time.monotonic() + timeout_s
     while True:
@@ -158,11 +185,13 @@ def _wait_for_cpus(ray, want: float, timeout_s: float = 5.0) -> float:
 @pytest.mark.parametrize("run", [_broadcast_join, _bloom_prefilter,
                                  _band_join, _embed_images, _augment_spec,
                                  _footprint_dataset, _roi_query_footprints,
-                                 _roi_query_catchments, _catalog_paths],
+                                 _roi_query_catchments, _catalog_paths,
+                                 _zonal_stats, _zonal_stats_windowed],
                          ids=["broadcast_join", "bloom_prefilter",
                               "band_join", "embed_images", "augment_spec",
                               "footprint_dataset", "roi_query_footprints",
-                              "roi_query_catchments", "catalog_paths"])
+                              "roi_query_catchments", "catalog_paths",
+                              "zonal_stats", "zonal_stats_windowed"])
 def test_task_stage_gives_back_cpus(ray_session, run):
     import ray
 

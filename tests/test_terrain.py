@@ -9,7 +9,7 @@ import ray.data
 
 from hand_index_ray.kernels import geotiff
 from hand_index_ray.kernels import wkb as kwkb
-from hand_index_ray.pipelines import terrain
+from hand_index_ray.pipelines import mining, terrain
 
 # Triangles used by q126's zones (pixel space). Scaled-by-10 integer
 # vertices so exact sign tests are possible in SQL and in this test.
@@ -513,7 +513,7 @@ def test_hillshade_brute_parity(ray_session):
     import ray.data
 
     from hand_index_ray.kernels.geotiff import encode_geotiff
-    from hand_index_ray.pipelines import terrain
+    from hand_index_ray.pipelines import mining, terrain
 
     rng = np.random.default_rng(11)
     arrs = [rng.integers(0, 200, (9, 12)).astype(np.int32)
@@ -1205,3 +1205,120 @@ def test_blob_label_core():
     labs = lbl[m]
     assert len(np.unique(labs)) == 2
     assert sorted(np.unique(labs)) == [1 * 8 + 1, 4 * 8 + 5]
+
+
+# Every per-raster operator's exact output: column names in order, the
+# id keeping its input type, every value column int64. The mining
+# operators read the int64 ``o_orderkey`` id, the terrain ones ``path``.
+_PATH = ("path", pa.string())
+_KEY = ("o_orderkey", pa.int64())
+_SCHEMA_CASES = [
+    ("polygonize_counts", lambda ds: terrain.polygonize_counts(ds, 32),
+     _PATH, ["above", "n_regions", "n_px"]),
+    ("nearest_site_counts",
+     lambda ds: terrain.nearest_site_counts(ds, [(3.5, 4.5), (20.5, 10.5)]),
+     _PATH, ["site", "n_px", "site_sum"]),
+    ("slope_stats", terrain.slope_stats,
+     _PATH, ["grad_sum", "grad_max", "n_interior"]),
+    ("flow_direction_counts", terrain.flow_direction_counts,
+     _PATH, ["direction", "n_px"]),
+    ("overview_checksums", terrain.overview_checksums,
+     _PATH, ["level", "px_sum", "w", "h"]),
+    ("contour_case_counts", lambda ds: terrain.contour_case_counts(ds, 32),
+     _PATH, ["ms_case", "n_cells"]),
+    ("flow_path_stats", terrain.flow_path_stats,
+     _PATH, ["path_sum", "path_max", "n_pit", "n_edge"]),
+    ("hand_stats", lambda ds: terrain.hand_stats(ds, 10),
+     _PATH, ["n_drained", "hand_sum", "hand_max", "n_undrained"]),
+    ("flow_accumulation", lambda ds: terrain.flow_accumulation(ds, 5),
+     _PATH, ["acc_max", "n_channel"]),
+    ("morphology_stats", terrain.morphology_stats,
+     _PATH, ["dilate_sum", "erode_sum", "mgrad_sum"]),
+    ("resample_bilinear", lambda ds: terrain.resample_bilinear(ds, 7, 5),
+     _PATH, ["bl_sum", "bl_min", "bl_max"]),
+    ("rle_stats", terrain.rle_stats, _PATH, ["n_runs", "max_run"]),
+    ("value_histogram", terrain.value_histogram, _PATH, ["value", "n_px"]),
+    ("resample_nn", lambda ds: terrain.resample_nn(ds, 7, 5),
+     _PATH, ["rs_sum", "rs_min", "rs_max"]),
+    ("hillshade_stats", terrain.hillshade_stats,
+     _PATH, ["shade_sum", "n_shadow", "n_interior"]),
+    ("laplacian_stats", terrain.laplacian_stats,
+     _PATH, ["abs_sum", "n_concave", "n_convex"]),
+    ("fill_depression_stats", terrain.fill_depression_stats,
+     _PATH, ["fill_volume", "n_filled", "max_raise"]),
+    ("edt_stats", lambda ds: terrain.edt_stats(ds, 8),
+     _PATH, ["d2_sum", "d2_max", "n_feat"]),
+    ("moran_stats", terrain.moran_stats,
+     _PATH, ["num_scaled", "den_scaled", "w_sum"]),
+    ("cost_distance_stats", terrain.cost_distance_stats,
+     _PATH, ["cost_sum", "cost_max", "east_min"]),
+    ("otsu_stats", terrain.otsu_stats,
+     _PATH, ["otsu_t", "bcv_num", "bcv_den"]),
+    ("seam_stats", terrain.seam_stats,
+     _PATH, ["seam_min", "seam_argmin", "bottom_sum"]),
+    ("glcm_stats", terrain.glcm_stats,
+     _PATH, ["contrast", "energy", "glcm_max", "glcm_distinct"]),
+    ("median_filter_stats", terrain.median_filter_stats,
+     _PATH, ["med_sum", "med_max", "n_changed"]),
+    ("quadtree_stats", terrain.quadtree_stats,
+     _PATH, ["qt_leaves", "qt_solid", "qt_max_side"]),
+    ("hog_stats", terrain.hog_stats, _PATH, ["octant", "n_px", "wsum"]),
+    ("strahler_stats", terrain.strahler_stats,
+     _PATH, ["strahler", "n_cells"]),
+    ("watershed_stats", terrain.watershed_stats,
+     _PATH, ["n_basins", "max_basin", "sink_sum"]),
+    ("largest_rect_stats", lambda ds: terrain.largest_rect_stats(ds, 32),
+     _PATH, ["max_area", "n_at_max", "n_mask"]),
+    ("tophat_stats", terrain.tophat_stats,
+     _PATH, ["tophat_sum", "tophat_max", "n_pos"]),
+    ("hotspot_stats", terrain.hotspot_stats,
+     _PATH, ["n_hot", "max_local", "local_sum"]),
+    ("edge_nms_stats", lambda ds: terrain.edge_nms_stats(ds, 100),
+     _PATH, ["n_edges", "edge_mag2_sum", "max_mag2"]),
+    ("rlsa_stats", lambda ds: terrain.rlsa_stats(ds, 32, 2),
+     _PATH, ["n_set", "n_filled", "n_runs"]),
+    ("hysteresis_stats", lambda ds: terrain.hysteresis_stats(ds, 100, 1000),
+     _PATH, ["n_strong", "n_weak", "n_linked", "edge_mag2_sum"]),
+    ("skeleton_stats", lambda ds: terrain.skeleton_stats(ds, 32),
+     _PATH, ["n_set", "n_skel", "pos_sum"]),
+    ("mode_filter_stats", lambda ds: terrain.mode_filter_stats(ds, 4),
+     _PATH, ["n_changed", "mode_checksum"]),
+    ("lbp_stats", terrain.lbp_stats,
+     _PATH, ["n_uniform", "code_checksum", "n_codes"]),
+    ("blob_stats", lambda ds: terrain.blob_stats(ds, 32),
+     _PATH, ["n_blobs", "max_blob", "label_checksum"]),
+    ("zonal_stats", lambda ds: terrain.zonal_stats(ds, [tri_wkb(TRI_A)]),
+     _PATH, ["zone", "zone_sum", "zone_count"]),
+    ("zonal_stats_windowed",
+     lambda ds: terrain.zonal_stats_windowed(ds, [tri_wkb(TRI_A)]),
+     _PATH, ["zone", "zone_sum", "zone_count", "bytes_read"]),
+    # one bin: both rasters share the dominant bin, so one pair
+    ("hist_intersection_pairs",
+     lambda ds: mining.hist_intersection_pairs(ds, nbins=1, binw=64),
+     None, ["id_a", "id_b", "dom", "sim"]),
+    ("census_stats", mining.census_stats,
+     _KEY, ["n_codes", "code_sum", "max_code"]),
+    ("triangle_threshold", mining.triangle_threshold,
+     _KEY, ["peak", "last", "thr", "cross_abs"]),
+    ("pyramid_error", mining.pyramid_error, _KEY, ["abs_err", "max_err"]),
+    ("zone_adjacency", mining.zone_adjacency,
+     _KEY, ["za", "zb", "boundary_px"]),
+    ("euler_stats", lambda ds: mining.euler_stats(ds, 32),
+     _KEY, ["q1", "q3", "qd", "euler4", "euler8"]),
+]
+
+
+@pytest.mark.parametrize("op,id_field,cols",
+                         [c[1:] for c in _SCHEMA_CASES],
+                         ids=[c[0] for c in _SCHEMA_CASES])
+def test_per_raster_output_schema(ray_session, op, id_field, cols):
+    arrs = [rng_raster(s, h=32, w=32, hi=64) for s in (61, 62)]
+    t = pa.table({"path": pa.array(["r0", "r1"]),
+                  "o_orderkey": pa.array([5, 9], pa.int64()),
+                  "bytes": pa.array([blob_of(a, tile=(16, 16))
+                                     for a in arrs], pa.binary())})
+    out = pa.concat_tables([b for b in ray.get(
+        op(ray.data.from_arrow(t)).to_arrow_refs()) if b.num_rows])
+    want = pa.schema(([id_field] if id_field else [])
+                     + [(c, pa.int64()) for c in cols])
+    assert out.schema.equals(want), out.schema
