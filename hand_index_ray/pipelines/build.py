@@ -202,7 +202,7 @@ class FragmentBuilder:
 
 
 def build_index(images_dir: str, out_dir: str, cfg: EngineConfig = DEFAULT,
-                resume: bool = True, concurrency: int | None = None,
+                resume: bool = True,
                 filesystem=None, out_filesystem=None) -> dict:
     """Resumable materialized footprint index build.
 

@@ -766,10 +766,11 @@ def _pack_catalog(rag_all: "wkb.Ragged") -> dict:
     """Flatten a multi-geometry Ragged into the zero-copy broadcast
     catalog: per-geometry bounds/area plus ONE global edge array
     (start, end rows) with per-geometry offsets. Everything is a plain
-    numpy array, so each actor's ``ray.get`` is a zero-copy plasma
-    view — no per-polygon pickles to deserialize per actor per call
-    (the r3 zonal-scaling fix: per-actor catalog unpickling multiplied
-    with pool size and serialized the 4→16-CPU legs)."""
+    numpy array, so each worker process's ``ray.get`` is a zero-copy
+    plasma view — no per-polygon pickles to deserialize per worker per
+    call (the r3 zonal-scaling fix: per-worker catalog unpickling
+    multiplied with the worker count and serialized the 4→16-CPU
+    legs)."""
     c = rag_all.coords
     ro = rag_all.ring_coord_off.astype(np.int64)
     po = rag_all.part_ring_off.astype(np.int64)
@@ -792,8 +793,7 @@ def _pack_catalog(rag_all: "wkb.Ragged") -> dict:
 
 
 def _zonal_join_broadcast(foot: ray.data.Dataset, catchments_path: str,
-                          level: int, filesystem=None,
-                          pool_hint: int = 0) -> ray.data.Dataset:
+                          level: int, filesystem=None) -> ray.data.Dataset:
     """Broadcast spatial join — the NO-SHUFFLE zonal path.
 
     When the catchment catalog fits the broadcast budget, there is no
@@ -816,7 +816,7 @@ def _zonal_join_broadcast(foot: ray.data.Dataset, catchments_path: str,
                   _session)
     _cached = _ZONAL_BCAST_CACHE.get(_cache_key)
     if _cached is not None:
-        return _zonal_join_broadcast_map(foot, _cached, pool_hint)
+        return _zonal_join_broadcast_map(foot, _cached)
 
     _cat_tbl = pq.read_table(catchments_path,
                              columns=["catchment_id", "geometry"],
@@ -881,7 +881,7 @@ def _zonal_join_broadcast(foot: ray.data.Dataset, catchments_path: str,
     while len(_ZONAL_BCAST_CACHE) >= 4:  # bound pinned object-store refs
         _ZONAL_BCAST_CACHE.pop(next(iter(_ZONAL_BCAST_CACHE)))
     _ZONAL_BCAST_CACHE[_cache_key] = cached
-    return _zonal_join_broadcast_map(foot, cached, pool_hint)
+    return _zonal_join_broadcast_map(foot, cached)
 
 
 _ZONAL_OUT = pa.schema([("image_id", pa.string()), ("catchment_id", pa.string())])
@@ -895,7 +895,7 @@ class ZonalBroadcastJoiner:
     materialized at most once per worker as pure ARRAY VIEWS into the
     shared catalog — no pickle bytes anywhere (the r2
     per-(catchment,batch) unpickle fix, upgraded in r3 after the
-    4→16-CPU scaling probe showed per-actor deserialization
+    4→16-CPU scaling probe showed per-worker deserialization
     serializing the join)."""
 
     def __init__(self, idx_ref, level):
@@ -909,7 +909,7 @@ class ZonalBroadcastJoiner:
         self.e1_all, self.e2_all = pk["e1"], pk["e2"]
         self.edge_off = pk["edge_off"]
         self._pcache: dict = {}
-        self.n_unpickles = 0  # test hook: one per (actor, catchment)
+        self.n_unpickles = 0  # test hook: one per (worker, catchment)
 
     def _prep(self, c: int):
         p = self._pcache.get(c)
@@ -975,8 +975,8 @@ class ZonalBroadcastJoiner:
 _WORKER_ZONAL_CACHE: dict = {}
 
 
-def _zonal_join_broadcast_map(foot: ray.data.Dataset, cached: tuple,
-                              pool_hint: int = 0) -> ray.data.Dataset:
+def _zonal_join_broadcast_map(foot: ray.data.Dataset,
+                              cached: tuple) -> ray.data.Dataset:
     """The map stage of the broadcast spatial join over a (possibly
     cached) broadcast catalog index.
 
@@ -1057,8 +1057,7 @@ def zonal_join(index_dir: str, catchments_path: str,
             else os.path.getsize(catchments_path)
     if _cat_bytes <= cfg.zonal_broadcast_bytes:
         return _zonal_join_broadcast(foot, catchments_path, level,
-                                     filesystem=filesystem,
-                                     pool_hint=len(files))
+                                     filesystem=filesystem)
 
     def explode_foot(t: pa.Table) -> pa.Table:
         idx, cells = lattice_cover(t.column("minx").to_numpy(),

@@ -82,6 +82,15 @@ def _per_raster(ds, bytes_col: str, id_col: str, cols, rows_of):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def _refuse_float(rid, dtype: np.dtype) -> None:
+    """``zone_sum`` is an exact int64 sum; a float raster would be
+    truncated, so it is refused by name."""
+    if dtype.kind == "f":
+        raise ValueError(f"zonal stats: raster {rid!r} has {dtype} pixels;"
+                         " zone_sum is an exact int64 sum, so scale the"
+                         " raster to integers first")
+
+
 class ZonalStats:
     """Per (raster, zone) nodata-aware masked aggregates, mapped as an
     instance in a task map. Zones are WKB polygons evaluated at PIXEL
@@ -113,6 +122,7 @@ class ZonalStats:
     def __call__(self, t: pa.Table) -> pa.Table:
         ids, zids, sums, cnts = [], [], [], []
         for rid, arr, info in _decode_batch(t, self.bytes_col, self.id_col):
+            _refuse_float(rid, arr.dtype)
             masks = self._masks_for(*arr.shape)
             nd = info.get("nodata")
             valid = (np.ones(arr.shape, bool) if nd is None
@@ -122,8 +132,7 @@ class ZonalStats:
                 ids.append(rid)
                 zids.append(zi)
                 cnts.append(int(sel.size))
-                sums.append(int(sel.astype(np.int64).sum())
-                            if arr.dtype.kind != "f" else float(sel.sum()))
+                sums.append(int(sel.astype(np.int64).sum()))
         return pa.table({self.id_col: _id_array(t, self.id_col, ids),
                          "zone": pa.array(zids, pa.int64()),
                          "zone_sum": pa.array(sums, pa.int64()),
@@ -132,7 +141,8 @@ class ZonalStats:
 
 def zonal_stats(ds, zone_wkbs, bytes_col: str = "bytes",
                 id_col: str = "path"):
-    """Raster zonal statistics: one row per (raster, zone)."""
+    """Raster zonal statistics: one row per (raster, zone). Float
+    rasters raise ``ValueError``: ``zone_sum`` is an exact int64 sum."""
     return ds.map_batches(ZonalStats(zone_wkbs, bytes_col, id_col),
                           batch_format="pyarrow")
 
@@ -191,6 +201,7 @@ class ZonalStatsWindowed:
             for zi in range(len(self.zones)):
                 x0, y0, ww, wh = self._window_of(zi, w, h)
                 win, info = geotiff.decode_window(blob, x0, y0, ww, wh)
+                _refuse_float(rid, win.dtype)
                 m = self._mask_for(zi, x0, y0, ww, wh)
                 if nd is not None:
                     m = m & (win != np.asarray(nd, win.dtype))
@@ -198,8 +209,7 @@ class ZonalStatsWindowed:
                 ids.append(rid)
                 zids.append(zi)
                 cnts.append(int(sel.size))
-                sums.append(int(sel.astype(np.int64).sum())
-                            if win.dtype.kind != "f" else float(sel.sum()))
+                sums.append(int(sel.astype(np.int64).sum()))
                 br.append(int(info["window_bytes_read"]))
         return pa.table({self.id_col: _id_array(t, self.id_col, ids),
                          "zone": pa.array(zids, pa.int64()),

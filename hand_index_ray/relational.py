@@ -32,6 +32,14 @@ import ray.data
 from ray.data.aggregate import Max, Min, Sum
 
 
+def _tables(ds: ray.data.Dataset) -> list[pa.Table]:
+    """Every block of a (small) dataset as an Arrow table. It is
+    materialized first: ``to_arrow_refs`` on a lazy dataset asks for
+    the schema afterwards, and Ray 2.49 answers that with a partial
+    re-execution."""
+    return ray.get(ds.materialize().to_arrow_refs())
+
+
 def grouped_agg(ds: ray.data.Dataset, keys: list[str],
                 sum_cols: list[str] | None = None,
                 count: bool = True,
@@ -120,8 +128,11 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     and co-grouped by ``cogroup_apply`` (one shuffle of Arrow IPC
     payloads); each bucket runs one pyarrow join. Output columns are
     ``left_cols + right_cols`` minus the right key; unmatched outer
-    rows carry nulls. Callers with a possibly-empty side (``schema()``
-    is None on a zero-block dataset) pass the column lists explicitly.
+    rows carry nulls. A side passed without its column list is
+    materialized first and its names read from the blocks (a lazy
+    ``schema()`` would run a partial execution); callers with a
+    possibly-empty side (``schema()`` is None on a zero-block dataset)
+    pass the column lists explicitly.
 
     Skewed hot keys: pass ``salt_hot=True`` (inner/left only) — a
     count pre-pass over the left side finds keys above
@@ -134,11 +145,18 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     (``salt_hot`` rejects full: replicated unmatched right rows would
     duplicate).
     """
+    if salt_hot and how == "full":
+        raise ValueError("salt_hot supports inner/left joins only")
+    # a lazy dataset's schema() runs a partial execution; read the
+    # names off a materialized input instead
+    if left_cols is None:
+        left = left.materialize()
+        left_cols = left.schema().names
+    if right_cols is None:
+        right = right.materialize()
+        right_cols = right.schema().names
     hot_vals = None
     if salt_hot:
-        if how == "full":
-            raise ValueError("salt_hot supports inner/left joins only")
-
         def _pc(t: pa.Table) -> pa.Table:
             agg = t.select([key]).group_by(key).aggregate([([], "count_all")])
             return agg.rename_columns([key, "__n"])
@@ -209,8 +227,7 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
             return t.append_column("__bucket", pa.array(b, pa.int32()))
         return f
 
-    lcols = list(left_cols) if left_cols is not None else [c for c in left.schema().names]
-    rcols = list(right_cols) if right_cols is not None else [c for c in right.schema().names]
+    lcols, rcols = list(left_cols), list(right_cols)
     cols_out = lcols + [c for c in rcols if c != key]
     jt = {"inner": "inner", "left": "left outer", "full": "full outer"}[how]
 
@@ -472,8 +489,7 @@ def approx_distinct(ds: ray.data.Dataset, col: str) -> float:
 
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     st = sketch.state_empty()
-    for ref in parts.to_arrow_refs():
-        t = ray.get(ref)
+    for t in _tables(parts):
         for b in t.column("sketch").to_pylist():
             st = sketch.state_merge(st, sketch.state_deserialize(b))
     return sketch.state_estimate(st)
@@ -503,8 +519,7 @@ def approx_quantiles(ds: ray.data.Dataset, col: str, qs) -> "np.ndarray":
 
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     st = sketch.q_empty()
-    for ref in parts.to_arrow_refs():
-        t = ray.get(ref)
+    for t in _tables(parts):
         if "qsk" not in t.schema.names:  # schemaless empty block
             continue
         for b in t.column("qsk").to_pylist():
@@ -648,9 +663,12 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset,
         return left.map_batches(lambda ldf: merge(ldf, ray.get(ref)),
                                 batch_format="pandas")
 
+    # column names and types from materialized blocks: a lazy schema()
+    # runs a partial execution
+    left, right = left.materialize(), right.materialize()
     lcols = list(left.schema().names)
-    rschema = getattr(right.schema(), "base_schema", right.schema())
-    rcols = list(right.schema().names)
+    rschema = right.schema().base_schema
+    rcols = list(rschema.names)
     # pd.merge_asof suffixes colliding right names with _r; right's own
     # `on` always survives as {on}_r
     out_cols = lcols + [(c if c not in lcols else f"{c}_r")
@@ -720,12 +738,13 @@ def range_join(left: ray.data.Dataset, right: ray.data.Dataset,
         return left.map_batches(lambda ldf: in_bucket_join(ldf, ray.get(ref)),
                                 batch_format="pandas")
 
+    # column names from materialized blocks (a lazy schema() runs a
+    # partial execution); the interval-length pass reads them too
+    left, right = left.materialize(), right.materialize()
     if bucket_width_us is None:
-        bucket_width_us = int(right.map_batches(
-            lambda t: pa.table({"len": pa.array(
-                [int(pc.max(pc.subtract(t[end], t[start])).as_py() or 0)
-                 if t.num_rows else 0], pa.int64())}),
-            batch_format="pyarrow").max("len")) + 1
+        bucket_width_us = max(
+            [int(pc.max(pc.subtract(t[end], t[start])).as_py() or 0)
+             for t in _tables(right) if t.num_rows] or [0]) + 1
     W = np.int64(max(bucket_width_us, 1))
     NB = np.uint64(num_buckets)
 
@@ -900,8 +919,7 @@ def bloom_build(ds: ray.data.Dataset, col: str,
 
     merged = np.zeros(nwords, dtype=np.uint64)
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    for ref in parts.to_arrow_refs():
-        t = ray.get(ref)
+    for t in _tables(parts):
         if "bloom" not in t.schema.names:  # schemaless empty block
             continue
         for b in t.column("bloom").to_pylist():
@@ -1441,7 +1459,8 @@ def grouped_zscore(ds: ray.data.Dataset, keys: list[str], x: str,
     """Per-row population z-score against the row's group — the
     training-pipeline feature standardization — WITHOUT a row shuffle:
     phase 1 computes exact int64 (n, Σx, Σx²) per group (tiny result),
-    phase 2 broadcasts them (``ray.put``) and standardizes map-only.
+    phase 2 broadcasts them (``ray.put``) and a task map merges them
+    onto the rows and standardizes.
 
     Emitted as z_micro = ROUND(1e6·(n·x − Σx)/√(n·Σx² − Σx²-term)) —
     integer-exact inputs, one float64 expression, oracle-reproducible.
@@ -1459,35 +1478,25 @@ def grouped_zscore(ds: ray.data.Dataset, keys: list[str], x: str,
     slim = ds.select_columns(list(dict.fromkeys(keys + [x] + id_cols)))
     stats = slim.select_columns(keys + [x]).map_batches(
         stat_partial, batch_format="pyarrow", zero_copy_batch=True) \
-        .groupby(keys).aggregate(Sum("__x", alias_name="sx"),
-                                 Sum("__xx", alias_name="sxx"),
-                                 Sum("__n", alias_name="n")).to_pandas()
-    key_index = {tuple(r[k] for k in keys): (float(r["n"]), float(r["sx"]),
-                                             float(r["sxx"]))
-                 for _, r in stats.iterrows()}
-    ref = ray.put(key_index)
+        .groupby(keys).aggregate(Sum("__x", alias_name="__sx"),
+                                 Sum("__xx", alias_name="__sxx"),
+                                 Sum("__n", alias_name="__n")).to_pandas()
+    ref = ray.put(stats)
 
-    class Standardize:
-        def __init__(self):
-            self.idx = ray.get(ref)
+    def standardize(b: pd.DataFrame) -> pd.DataFrame:
+        # a left merge keeps the batch's row order and, unlike an Arrow
+        # join, matches a null key to its group
+        b = b[id_cols + keys + [x]].merge(ray.get(ref), on=keys, how="left")
+        n, sx, sxx = (b[c].to_numpy(np.float64)
+                      for c in ("__n", "__sx", "__sxx"))
+        xv = b[x].to_numpy().astype(np.float64)
+        denom = np.sqrt(n * sxx - sx * sx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(denom > 0.0, 1e6 * (n * xv - sx) / denom, 0.0)
+        b["z_micro"] = round_half_away(z).astype(np.int64)
+        return b.drop(columns=["__n", "__sx", "__sxx"])
 
-        def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-            if not len(b):
-                b["z_micro"] = pd.Series(dtype="int64")
-                return b[id_cols + keys + [x, "z_micro"]]
-            trip = np.array([self.idx[t] for t in
-                             zip(*(b[k] for k in keys))], dtype=np.float64)
-            n, sx, sxx = trip[:, 0], trip[:, 1], trip[:, 2]
-            xv = b[x].to_numpy().astype(np.float64)
-            denom = np.sqrt(n * sxx - sx * sx)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.where(denom > 0.0, 1e6 * (n * xv - sx) / denom, 0.0)
-            b = b[id_cols + keys + [x]].copy()
-            b["z_micro"] = round_half_away(z).astype(np.int64)
-            return b
-
-    return slim.map_batches(Standardize, batch_format="pandas",
-                            concurrency=(1, 8))
+    return slim.map_batches(standardize, batch_format="pandas")
 
 
 def approx_top_k(ds: ray.data.Dataset, col: str, k: int,
@@ -1506,21 +1515,23 @@ def approx_top_k(ds: ray.data.Dataset, col: str, k: int,
     def partial(t: pa.Table) -> pa.Table:
         st = sketch.mg_add(sketch.mg_empty(),
                            t.column(col).to_numpy(zero_copy_only=False), cap)
-        return pa.table({"mg": pa.array([sketch.mg_serialize(st)], pa.binary())})
+        # the null column carries the input's Arrow type to the driver
+        return pa.table({"mg": pa.array([sketch.mg_serialize(st)], pa.binary()),
+                         "typ": pa.nulls(1, t.column(col).type)})
 
     parts = ds.select_columns([col]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True)
     st = sketch.mg_empty()
-    for ref in parts.to_arrow_refs():
-        t = ray.get(ref)
+    typ = pa.null()
+    for t in _tables(parts):
         if "mg" not in t.schema.names:
             continue
+        typ = t.schema.field("typ").type
         for b in t.column("mg").to_pylist():
             st = sketch.mg_merge(st, sketch.mg_deserialize(b), cap)
     items, counts = sketch.mg_topk(st, k)
     # MG summaries hold items as object dtype; restore the column's
     # Arrow type so the driver's dtype-sensitive hash matches
-    typ = ds.schema().base_schema.field(col).type
     return pa.table({col: pa.array(items.tolist(), typ),
                      "n": pa.array(counts, pa.int64())}).to_pandas()
 
@@ -1549,17 +1560,18 @@ def cms_key_counts(ds: ray.data.Dataset, col: str, width: int = 2048,
         sk = sketch.cms_add_hashed(sketch.cms_empty(width, depth), h, cnt)
         import pickle
         return pa.table({"sk": pa.array([pickle.dumps((sk, uniq.tolist()))],
-                                        pa.binary())})
+                                        pa.binary()),
+                         "typ": pa.nulls(1, t.column(col).type)})
 
     parts = ds.select_columns([col]).map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True)
     import pickle
     sk = sketch.cms_empty(width, depth)
     keys: set = set()
-    for ref in parts.to_arrow_refs():
-        t = ray.get(ref)
+    for t in _tables(parts):
         if "sk" not in t.schema.names:
             continue
+        typ = t.schema.field("typ").type
         for b in t.column("sk").to_pylist():
             s_, u_ = pickle.loads(b)
             sk = sketch.cms_merge(sk, s_)
@@ -1571,7 +1583,6 @@ def cms_key_counts(ds: ray.data.Dataset, col: str, width: int = 2048,
     is_int = all(isinstance(u, (int, np.integer)) for u in uniq)
     h = _bucket_hash(uniq if not is_int else uniq.astype(np.int64), is_int)
     est = sketch.cms_query_hashed(sk, h)
-    typ = ds.schema().base_schema.field(col).type
     return pa.table({col: pa.array(uniq.tolist(), typ),
                      "est": pa.array(est, pa.int64())}).to_pandas()
 

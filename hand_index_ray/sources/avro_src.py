@@ -43,8 +43,7 @@ def _arrow_type(t: str):
             "string": pa.string(), "bytes": pa.binary()}[t]
 
 
-def read_avro(paths: list[str],
-              concurrency: int | None = None) -> ray.data.Dataset:
+def read_avro(paths: list[str]) -> ray.data.Dataset:
     """Read Avro OCF files as one Dataset (one task per file)."""
     src = ray.data.from_items([{"path": p} for p in sorted(paths)])
 
@@ -53,7 +52,4 @@ def read_avro(paths: list[str],
             schema, cols = avrolib.read_ocf(p)
             yield _cols_to_table(schema, cols)
 
-    kwargs = {"batch_format": "pyarrow", "batch_size": 1}
-    if concurrency:
-        kwargs["concurrency"] = concurrency
-    return src.map_batches(read_one, **kwargs)
+    return src.map_batches(read_one, batch_format="pyarrow", batch_size=1)

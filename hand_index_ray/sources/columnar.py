@@ -71,8 +71,7 @@ def write_shards(ds: ray.data.Dataset, out_dir: str, fmt: str,
 
 
 def read_shards(paths: list[str], fmt: str,
-                columns: list[str] | None = None,
-                concurrency: int | None = None) -> ray.data.Dataset:
+                columns: list[str] | None = None) -> ray.data.Dataset:
     """Read a list of ORC/Feather shard files as one Dataset.
 
     Each path becomes one read task (the shard is the parallelism
@@ -93,7 +92,4 @@ def read_shards(paths: list[str], fmt: str,
 
                 yield feather.read_table(p, columns=columns)
 
-    kwargs = {"batch_format": "pyarrow", "batch_size": 1}
-    if concurrency:
-        kwargs["concurrency"] = concurrency
-    return src.map_batches(read_one, **kwargs)
+    return src.map_batches(read_one, batch_format="pyarrow", batch_size=1)

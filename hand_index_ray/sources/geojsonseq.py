@@ -88,20 +88,9 @@ def parse_feature_lines(t: pa.Table, text_col: str = "text") -> pa.Table:
 
 def read_geojsonseq(paths, *, drop_null_geom: bool = True) -> ray.data.Dataset:
     """NDJSON Feature file(s)/glob(s) → Dataset of (wkb, <properties>)."""
-    import glob as _glob
-    import os as _os
-    if isinstance(paths, (str, _os.PathLike)):
-        paths = [str(paths)]
-    expanded: list[str] = []
-    for p in paths:
-        p = str(p)
-        if any(ch in p for ch in "*?["):
-            expanded.extend(sorted(_glob.glob(p, recursive=True)))
-        else:
-            expanded.append(p)
-    if not expanded:
-        raise FileNotFoundError(f"no GeoJSONSeq files match {paths!r}")
-    ds = ray.data.read_text(expanded)
+    from . import expand_paths
+
+    ds = ray.data.read_text(expand_paths(paths, "GeoJSONSeq files"))
     ds = ds.map_batches(parse_feature_lines, batch_format="pyarrow")
     if drop_null_geom:
         import pyarrow.compute as pc

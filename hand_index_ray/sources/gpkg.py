@@ -10,16 +10,17 @@ Reader design (Ray-Data-first):
 - driver opens each file ONCE (read-only, immutable) to list feature
   tables from ``gpkg_contents``/``gpkg_geometry_columns`` and the rowid
   span per table, then emits (path, table, rowid_lo, rowid_hi) shards →
-  ``from_items`` → ``map_batches(_GpkgShardReader)`` actor pool. Each
-  shard SELECTs its rowid range; sqlite rowid-range scans are index
-  scans, so shards never re-read each other's pages.
-- per-actor sqlite connection cache (a table of shards over the same
-  file reuses one handle — the reference found GPKG seek latency is
-  what kills remote reads, load.py:15).
+  ``from_items`` → a ``map_batches`` task map. Each shard SELECTs its
+  rowid range; sqlite rowid-range scans are index scans, so shards
+  never re-read each other's pages.
+- a batch of shards opens each file once (the reference found GPKG
+  seek latency is what kills remote reads, load.py:15) and closes it
+  when the batch is done, so a rewritten file is never served stale.
 - remote filesystems: GPKG is a seek-heavy container, so a non-local
-  ``pyarrow.fs`` source is spooled to a local scratch file once per
-  (worker, file) then opened — exactly the reference's measured
-  download-then-read-locally strategy (load.py:15,113).
+  ``pyarrow.fs`` source is spooled to a local scratch file (keyed by
+  path and size, shared by every worker on the host) then opened —
+  exactly the reference's measured download-then-read-locally strategy
+  (load.py:15,113).
 
 The GeoPackageBinary header ('GP', version, flags[byte-order |
 envelope-indicator | empty-bit], srs_id, optional envelope doubles) is
@@ -29,7 +30,6 @@ handed to ``kernels/wkb`` downstream unchanged.
 
 from __future__ import annotations
 
-import glob as _glob
 import hashlib
 import os
 import sqlite3
@@ -40,6 +40,8 @@ import numpy as np
 import pyarrow as pa
 
 import ray.data
+
+from . import expand_paths
 
 GPKG_APPLICATION_ID = 0x47504B47  # 'GPKG'
 GPKG_USER_VERSION = 10300  # GeoPackage 1.3.0
@@ -221,74 +223,71 @@ def _prop_schema(con: sqlite3.Connection, table: str,
     return out
 
 
-class _GpkgShardReader:
-    """Actor-pool shard reader: per-actor sqlite connection cache
-    (setup cost paid once per (actor, file), reference load.py:15
-    latency finding), GP-header strip per feature, Arrow out."""
+def _gpkg_shard_reader(drop_null_geom: bool, spool_fs=None):
+    """Batch fn over (path, table, geom_col, lo, hi) shards: each file
+    is opened once per batch (spooled first when ``spool_fs`` is set),
+    GP header stripped per feature, Arrow out."""
 
-    def __init__(self, drop_null_geom: bool, spool_fs=None):
-        self._conns: dict[str, sqlite3.Connection] = {}
-        self._drop_null = drop_null_geom
-        self._spool_fs = spool_fs
-        self._spooled: dict[str, str] = {}
-
-    def _conn(self, path: str) -> sqlite3.Connection:
-        c = self._conns.get(path)
-        if c is None:
-            local = path
-            if self._spool_fs is not None:
-                local = self._spooled.get(path)
-                if local is None:
-                    local = _spool_to_local(self._spool_fs, path)
-                    self._spooled[path] = local
-            c = self._conns[path] = _open_ro(local)
-        return c
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def read(batch: pa.Table) -> pa.Table:
         tables = []
-        for i in range(batch.num_rows):
-            path = batch.column("path")[i].as_py()
-            table = batch.column("table")[i].as_py()
-            lo = batch.column("lo")[i].as_py()
-            hi = batch.column("hi")[i].as_py()
-            geom_col = batch.column("geom_col")[i].as_py()
-            con = self._conn(path)
-            schema = _prop_schema(con, table, geom_col)
-            cols = ", ".join([_quote_ident(geom_col)]
-                             + [_quote_ident(n) for n, _ in schema])
-            where = f"rowid >= {int(lo)} AND rowid <= {int(hi)}"
-            if self._drop_null:
-                where += f" AND {_quote_ident(geom_col)} IS NOT NULL"
-            rows = con.execute(
-                f"SELECT rowid, {cols} FROM {_quote_ident(table)}"
-                f" WHERE {where} ORDER BY rowid").fetchall()
-            fids = [r[0] for r in rows]
-            wkbs, srss = [], []
-            for r in rows:
-                blob = r[1]
-                if blob is None:
-                    wkbs.append(None)
-                    srss.append(None)
-                else:
-                    srs, w = split_gp_header(blob)
-                    wkbs.append(w)
-                    srss.append(srs)
-            arrays = {
-                "fid": pa.array(fids, pa.int64()),
-                "wkb": pa.array(wkbs, pa.binary()),
-                "srs_id": pa.array(srss, pa.int32()),
-                "src_path": pa.array([path] * len(rows), pa.string()),
-                "src_table": pa.array([table] * len(rows), pa.string()),
-            }
-            for j, (name, typ) in enumerate(schema):
-                vals = [r[2 + j] for r in rows]
-                if typ == pa.string():
-                    vals = [None if v is None else str(v) for v in vals]
-                arrays[name] = pa.array(vals, typ)
-            tables.append(pa.table(arrays))
+        conns: dict[str, sqlite3.Connection] = {}
+        try:
+            for s in batch.to_pylist():
+                path, table, geom_col = s["path"], s["table"], s["geom_col"]
+                con = conns.get(path)
+                if con is None:
+                    local = path if spool_fs is None \
+                        else _spool_to_local(spool_fs, path)
+                    con = conns[path] = _open_ro(local)
+                tables.append(_read_rowid_range(
+                    con, path, table, geom_col, s["lo"], s["hi"],
+                    drop_null_geom))
+        finally:
+            for con in conns.values():
+                con.close()
         if not tables:
             return pa.table({"fid": pa.array([], pa.int64())})
         return pa.concat_tables(tables, promote_options="default")
+
+    return read
+
+
+def _read_rowid_range(con: sqlite3.Connection, path: str, table: str,
+                      geom_col: str, lo: int, hi: int,
+                      drop_null_geom: bool) -> pa.Table:
+    schema = _prop_schema(con, table, geom_col)
+    cols = ", ".join([_quote_ident(geom_col)]
+                     + [_quote_ident(n) for n, _ in schema])
+    where = f"rowid >= {int(lo)} AND rowid <= {int(hi)}"
+    if drop_null_geom:
+        where += f" AND {_quote_ident(geom_col)} IS NOT NULL"
+    rows = con.execute(
+        f"SELECT rowid, {cols} FROM {_quote_ident(table)}"
+        f" WHERE {where} ORDER BY rowid").fetchall()
+    fids = [r[0] for r in rows]
+    wkbs, srss = [], []
+    for r in rows:
+        blob = r[1]
+        if blob is None:
+            wkbs.append(None)
+            srss.append(None)
+        else:
+            srs, w = split_gp_header(blob)
+            wkbs.append(w)
+            srss.append(srs)
+    arrays = {
+        "fid": pa.array(fids, pa.int64()),
+        "wkb": pa.array(wkbs, pa.binary()),
+        "srs_id": pa.array(srss, pa.int32()),
+        "src_path": pa.array([path] * len(rows), pa.string()),
+        "src_table": pa.array([table] * len(rows), pa.string()),
+    }
+    for j, (name, typ) in enumerate(schema):
+        vals = [r[2 + j] for r in rows]
+        if typ == pa.string():
+            vals = [None if v is None else str(v) for v in vals]
+        arrays[name] = pa.array(vals, typ)
+    return pa.table(arrays)
 
 
 def _spool_to_local(fs, path: str) -> str:
@@ -314,33 +313,22 @@ def _spool_to_local(fs, path: str) -> str:
 
 def read_gpkg(paths, *, table: str | None = None,
               drop_null_geom: bool = True, shard_rows: int = 65536,
-              filesystem=None, concurrency=(1, 16)) -> ray.data.Dataset:
+              filesystem=None) -> ray.data.Dataset:
     """Read feature tables from one or more GeoPackages as a streaming
     Dataset of ``fid | wkb | srs_id | src_path | src_table | <props>``.
 
     ``paths`` is a path, a glob pattern (reference load.py:41 globs
     ``*gw_catchments*.gpkg`` trees), or a list of either. Shards are
-    rowid ranges so one 10M-feature file parallelizes across the pool;
+    rowid ranges so one 10M-feature file parallelizes across tasks;
     shard discovery opens each file once on the driver (metadata-only:
     registry tables + MIN/MAX(rowid)). With ``filesystem=`` the files
     are spooled to worker-local scratch before opening (GPKG is
     seek-heavy; the reference measured local reads faster than remote,
     load.py:15).
     """
-    if isinstance(paths, (str, os.PathLike)):
-        paths = [str(paths)]
-    expanded: list[str] = []
-    for p in paths:
-        p = str(p)
-        if filesystem is None and any(ch in p for ch in "*?["):
-            expanded.extend(sorted(_glob.glob(p, recursive=True)))
-        else:
-            expanded.append(p)
-    if not expanded:
-        raise FileNotFoundError(f"no GeoPackage files match {paths!r}")
-
     shards = []
-    for path in expanded:
+    for path in expand_paths(paths, "GeoPackage files",
+                             glob=filesystem is None):
         local = path if filesystem is None else _spool_to_local(filesystem, path)
         tables = ([(table, _geom_col_of(local, table))] if table
                   else list_feature_tables(local))
@@ -362,9 +350,8 @@ def read_gpkg(paths, *, table: str | None = None,
         finally:
             con.close()
     ds = ray.data.from_items(shards)
-    return ds.map_batches(
-        _GpkgShardReader, fn_constructor_args=(drop_null_geom, filesystem),
-        batch_format="pyarrow", batch_size=4, concurrency=concurrency)
+    return ds.map_batches(_gpkg_shard_reader(drop_null_geom, filesystem),
+                          batch_format="pyarrow", batch_size=4)
 
 
 def _geom_col_of(path: str, table: str) -> str:

@@ -87,8 +87,7 @@ def parse_gpx_bytes(data: bytes, track_id: int) -> pa.Table:
     })
 
 
-def read_gpx(paths: list[str],
-             concurrency: int | None = None) -> ray.data.Dataset:
+def read_gpx(paths: list[str]) -> ray.data.Dataset:
     """Read GPX files as one point Dataset; ``track_id`` is the
     file's position in the sorted path list (stable across runs)."""
     paths = sorted(paths)
@@ -101,10 +100,7 @@ def read_gpx(paths: list[str],
             with open(p, "rb") as f:
                 yield parse_gpx_bytes(f.read(), tid)
 
-    kwargs = {"batch_format": "pyarrow", "batch_size": 1}
-    if concurrency:
-        kwargs["concurrency"] = concurrency
-    return src.map_batches(read_one, **kwargs)
+    return src.map_batches(read_one, batch_format="pyarrow", batch_size=1)
 
 
 def write_gpx(path: str, points) -> None:

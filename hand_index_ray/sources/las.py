@@ -15,14 +15,14 @@ return-number bitfield decoded vectorized.
 
 from __future__ import annotations
 
-import glob as _glob
-import os
 import struct
 
 import numpy as np
 import pyarrow as pa
 
 import ray.data
+
+from . import expand_paths
 
 HEADER_SIZE_12 = 227
 
@@ -102,82 +102,69 @@ def read_header(path: str) -> dict:
     }
 
 
-class _LasShardReader:
-    """One seek + one structured frombuffer per shard; per-actor
-    header cache."""
-
-    def __init__(self):
-        self._hdrs: dict[str, dict] = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tables = []
-        for i in range(batch.num_rows):
-            path = batch.column("path")[i].as_py()
-            lo = int(batch.column("lo")[i].as_py())
-            hi = int(batch.column("hi")[i].as_py())
-            h = self._hdrs.get(path)
-            if h is None:
-                h = self._hdrs[path] = read_header(path)
-            dt = _FORMATS[h["point_format"]]
-            reclen = h["record_length"]
-            cnt = hi - lo + 1
-            with open(path, "rb") as f:
-                f.seek(h["point_offset"] + lo * reclen)
-                buf = f.read(cnt * reclen)
-            if reclen == dt.itemsize:
-                rec = np.frombuffer(buf, dt)
-            else:  # extra bytes per record: strided view then copy
-                raw = np.frombuffer(buf, np.uint8).reshape(cnt, reclen)
-                rec = np.ascontiguousarray(raw[:, :dt.itemsize]) \
-                    .view(dt).reshape(cnt)
-            sx, sy, sz = h["scale"]
-            ox, oy, oz = h["offset"]
-            cols = {
-                "xi": pa.array(rec["xi"].astype(np.int64)),
-                "yi": pa.array(rec["yi"].astype(np.int64)),
-                "zi": pa.array(rec["zi"].astype(np.int64)),
-                "x": pa.array(rec["xi"] * sx + ox),
-                "y": pa.array(rec["yi"] * sy + oy),
-                "z": pa.array(rec["zi"] * sz + oz),
-                "intensity": pa.array(rec["intensity"].astype(np.int64)),
-                "classification": pa.array(rec["cls"].astype(np.int64)),
-                "return_number": pa.array(
-                    (rec["flags"] & 0x7).astype(np.int64)),
-                "n_returns": pa.array(
-                    ((rec["flags"] >> 3) & 0x7).astype(np.int64)),
-                "src_path": pa.array([path] * cnt, pa.string()),
-            }
-            if h["point_format"] == 1:
-                cols["gps_time"] = pa.array(rec["gps_time"])
-            tables.append(pa.table(cols))
-        if not tables:
-            return pa.table({"xi": pa.array([], pa.int64())})
-        return pa.concat_tables(tables, promote_options="default")
+def _read_las_shards(batch: pa.Table) -> pa.Table:
+    """Decode a batch of point-record shards. Each shard row carries
+    the header fields the driver parsed (``point_offset``,
+    ``record_length``, ``point_format``, ``scale``, ``offset``), so a
+    shard costs one seek and one structured frombuffer."""
+    tables = []
+    for s in batch.to_pylist():
+        dt = _FORMATS[s["point_format"]]
+        reclen = s["record_length"]
+        cnt = s["hi"] - s["lo"] + 1
+        with open(s["path"], "rb") as f:
+            f.seek(s["point_offset"] + s["lo"] * reclen)
+            buf = f.read(cnt * reclen)
+        if reclen == dt.itemsize:
+            rec = np.frombuffer(buf, dt)
+        else:  # extra bytes per record: strided view then copy
+            raw = np.frombuffer(buf, np.uint8).reshape(cnt, reclen)
+            rec = np.ascontiguousarray(raw[:, :dt.itemsize]) \
+                .view(dt).reshape(cnt)
+        sx, sy, sz = s["scale"]
+        ox, oy, oz = s["offset"]
+        cols = {
+            "xi": pa.array(rec["xi"].astype(np.int64)),
+            "yi": pa.array(rec["yi"].astype(np.int64)),
+            "zi": pa.array(rec["zi"].astype(np.int64)),
+            "x": pa.array(rec["xi"] * sx + ox),
+            "y": pa.array(rec["yi"] * sy + oy),
+            "z": pa.array(rec["zi"] * sz + oz),
+            "intensity": pa.array(rec["intensity"].astype(np.int64)),
+            "classification": pa.array(rec["cls"].astype(np.int64)),
+            "return_number": pa.array(
+                (rec["flags"] & 0x7).astype(np.int64)),
+            "n_returns": pa.array(
+                ((rec["flags"] >> 3) & 0x7).astype(np.int64)),
+            "src_path": pa.array([s["path"]] * cnt, pa.string()),
+        }
+        if s["point_format"] == 1:
+            cols["gps_time"] = pa.array(rec["gps_time"])
+        tables.append(pa.table(cols))
+    if not tables:
+        return pa.table({"xi": pa.array([], pa.int64())})
+    return pa.concat_tables(tables, promote_options="default")
 
 
-def read_las(paths, *, shard_points: int = 2_000_000,
-             concurrency=(1, 16)) -> ray.data.Dataset:
+def _las_shards(path: str, shard_points: int) -> "list[dict]":
+    """Shard rows of one LAS file: point-record ranges of at most
+    ``shard_points``, each with the header fields its reader needs."""
+    h = read_header(path)
+    keep = ("point_offset", "record_length", "point_format", "scale",
+            "offset")
+    n = h["n_points"]
+    return [{"path": path, "lo": s, "hi": min(s + shard_points - 1, n - 1),
+             **{k: h[k] for k in keep}}
+            for s in range(0, n, shard_points)]
+
+
+def read_las(paths, *, shard_points: int = 2_000_000) -> ray.data.Dataset:
     """Read LAS file(s)/glob(s) as a streaming Dataset; shards are
-    point-record ranges (a billion-point tile parallelizes across the
-    pool with zero overlap — record size is fixed, so shard boundaries
-    are exact byte offsets)."""
-    if isinstance(paths, (str, os.PathLike)):
-        paths = [str(paths)]
-    expanded: list[str] = []
-    for p in paths:
-        p = str(p)
-        if any(ch in p for ch in "*?["):
-            expanded.extend(sorted(_glob.glob(p, recursive=True)))
-        else:
-            expanded.append(p)
-    if not expanded:
-        raise FileNotFoundError(f"no LAS files match {paths!r}")
-    shards = []
-    for path in expanded:
-        n = read_header(path)["n_points"]
-        for s in range(0, n, shard_points):
-            shards.append({"path": path, "lo": s,
-                           "hi": min(s + shard_points - 1, n - 1)})
+    point-record ranges read by a task map (a billion-point tile
+    parallelizes with zero overlap — record size is fixed, so shard
+    boundaries are exact byte offsets, and each shard reads only its
+    own bytes)."""
+    shards = [s for path in expand_paths(paths, "LAS files")
+              for s in _las_shards(path, shard_points)]
     return ray.data.from_items(shards).map_batches(
-        _LasShardReader, batch_format="pyarrow", batch_size=4,
-        concurrency=concurrency)
+        _read_las_shards, batch_format="pyarrow", batch_size=4)

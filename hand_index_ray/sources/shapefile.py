@@ -7,10 +7,11 @@ record-range SHARDING exact), ``.dbf`` (dBase III attributes).
 
 Reader design (Ray-Data-first, same shape as sources/gpkg.py):
 - the driver reads each ``.shx`` ONCE (8 bytes per record) to learn
-  record count + byte offsets, then emits (path, rec_lo, rec_hi)
-  shards → ``from_items`` → ``map_batches`` actor pool;
-- each shard seeks straight to its byte range via the .shx offsets —
-  shards never scan each other's records;
+  the record count, then emits (path, rec_lo, rec_hi) shards →
+  ``from_items`` → a ``map_batches`` task map;
+- each shard reads only its own bytes: its slice of ``.shx``, the
+  ``.shp`` byte range those offsets span, and the ``.dbf`` header plus
+  its record range — shards never scan each other's records;
 - Polygon/PolyLine parts decode vectorized (one ``np.frombuffer`` per
   record's point block); rings classify outer/hole by signed area
   (shapefile winding rule: outer rings clockwise) and re-emit as WKB
@@ -27,7 +28,6 @@ layout with the 0x0D terminator and 0x1A EOF marker.
 
 from __future__ import annotations
 
-import glob as _glob
 import os
 import struct
 
@@ -37,6 +37,7 @@ import pyarrow as pa
 import ray.data
 
 from ..kernels import wkb as wkblib
+from . import expand_paths
 
 SHAPE_NULL = 0
 SHAPE_POINT = 1
@@ -161,13 +162,16 @@ def write_shapefile(base: str, geoms: "list[list[list[np.ndarray]] | None]",
 # low-level parsers
 
 
-def _read_shx(path: str) -> np.ndarray:
-    """(n, 2) int64 [byte_offset, content_bytes] per record."""
+def _read_shx(path: str, lo: int = 0, count: int = -1) -> np.ndarray:
+    """(n, 2) int64 [byte_offset, content_bytes] for ``count`` records
+    from record ``lo`` (default: every record)."""
     with open(path, "rb") as f:
         head = f.read(100)
         if struct.unpack_from(">i", head, 0)[0] != 9994:
             raise ValueError(f"{path}: bad shapefile file code")
-        raw = np.frombuffer(f.read(), dtype=">i4").astype(np.int64)
+        f.seek(100 + 8 * lo)
+        raw = np.frombuffer(f.read(8 * count if count >= 0 else -1),
+                            dtype=">i4").astype(np.int64)
     pairs = raw.reshape(-1, 2) * 2  # 16-bit words → bytes
     return pairs
 
@@ -217,6 +221,19 @@ def _decode_dbf_rows(buf: memoryview, lo: int, hi: int):
     return out, fields
 
 
+def _read_dbf_rows(path: str, lo: int, hi: int):
+    """``_decode_dbf_rows`` for records lo..hi, reading only the dBase
+    header and that record range."""
+    with open(path, "rb") as f:
+        head = f.read(32)
+        n_rec, hdr_size, rec_size = struct.unpack_from("<iHH", head, 4)
+        head += f.read(hdr_size - 32)
+        hi = min(hi, n_rec - 1)
+        f.seek(hdr_size + lo * rec_size)
+        recs = f.read(max(hi - lo + 1, 0) * rec_size)
+    return _decode_dbf_rows(memoryview(head + recs), 0, hi - lo)
+
+
 def _shape_to_wkb(body: bytes) -> "bytes | None":
     """One .shp record body → WKB (POLYGON/MULTIPOLYGON/POINT/
     LINESTRING-as-MULTILINE parts kept simple: polylines re-emit each
@@ -257,81 +274,51 @@ def _shape_to_wkb(body: bytes) -> "bytes | None":
 # reader
 
 
-class _ShpShardReader:
-    """Actor-pool shard reader with per-actor mmap cache: .shx offsets
-    give exact byte ranges, so a shard reads only its records."""
-
-    def __init__(self):
-        self._cache: dict[str, tuple] = {}
-
-    def _open(self, base: str):
-        ent = self._cache.get(base)
-        if ent is None:
-            shx = _read_shx(base + ".shx")
-            with open(base + ".shp", "rb") as f:
-                shp = memoryview(f.read())
-            dbf = None
-            if os.path.exists(base + ".dbf"):
-                with open(base + ".dbf", "rb") as f:
-                    dbf = memoryview(f.read())
-            ent = self._cache[base] = (shx, shp, dbf)
-        return ent
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        tables = []
-        for i in range(batch.num_rows):
-            base = batch.column("base")[i].as_py()
-            lo = int(batch.column("lo")[i].as_py())
-            hi = int(batch.column("hi")[i].as_py())
-            shx, shp, dbf = self._open(base)
-            wkbs, fids = [], []
-            for rec in range(lo, hi + 1):
-                off, nbytes = shx[rec]
-                body = bytes(shp[off + 8:off + 8 + nbytes])
-                wkbs.append(_shape_to_wkb(body))
-                fids.append(rec + 1)  # shapefile record numbers are 1-based
-            cols = {"fid": pa.array(fids, pa.int64()),
-                    "wkb": pa.array(wkbs, pa.binary()),
-                    "src_path": pa.array([base + ".shp"] * len(fids),
-                                         pa.string())}
-            if dbf is not None:
-                attrs, fields = _decode_dbf_rows(dbf, lo, hi)
-                for name, ftype, _w, dec in fields:
-                    vals = attrs[name]
-                    if ftype in ("N", "F"):
-                        typ = pa.int64() if (dec == 0 and ftype == "N") \
-                            else pa.float64()
-                    elif ftype == "L":
-                        typ = pa.int64()
-                    else:
-                        typ = pa.string()
-                    cols[name] = pa.array(vals, typ)
-            tables.append(pa.table(cols))
-        if not tables:
-            return pa.table({"fid": pa.array([], pa.int64())})
-        return pa.concat_tables(tables, promote_options="default")
+def _read_shp_shards(batch: pa.Table) -> pa.Table:
+    """Decode a batch of record-range shards. A shard reads its slice
+    of ``.shx``, the ``.shp`` byte range its records span, and the
+    ``.dbf`` header plus its record range — never a whole file."""
+    tables = []
+    for s in batch.to_pylist():
+        base, lo, hi = s["base"], s["lo"], s["hi"]
+        idx = _read_shx(base + ".shx", lo, hi - lo + 1)
+        start = int(idx[:, 0].min())
+        with open(base + ".shp", "rb") as f:
+            f.seek(start)
+            shp = f.read(int((idx[:, 0] + 8 + idx[:, 1]).max()) - start)
+        wkbs = [_shape_to_wkb(shp[off - start + 8:off - start + 8 + nbytes])
+                for off, nbytes in idx.tolist()]
+        # shapefile record numbers are 1-based
+        cols = {"fid": pa.array(range(lo + 1, hi + 2), pa.int64()),
+                "wkb": pa.array(wkbs, pa.binary()),
+                "src_path": pa.array([base + ".shp"] * len(wkbs),
+                                     pa.string())}
+        if os.path.exists(base + ".dbf"):
+            attrs, fields = _read_dbf_rows(base + ".dbf", lo, hi)
+            for name, ftype, _w, dec in fields:
+                vals = attrs[name]
+                if ftype in ("N", "F"):
+                    typ = pa.int64() if (dec == 0 and ftype == "N") \
+                        else pa.float64()
+                elif ftype == "L":
+                    typ = pa.int64()
+                else:
+                    typ = pa.string()
+                cols[name] = pa.array(vals, typ)
+        tables.append(pa.table(cols))
+    if not tables:
+        return pa.table({"fid": pa.array([], pa.int64())})
+    return pa.concat_tables(tables, promote_options="default")
 
 
 def read_shapefile(paths, *, drop_null_geom: bool = True,
-                   shard_records: int = 65536,
-                   concurrency=(1, 16)) -> ray.data.Dataset:
+                   shard_records: int = 65536) -> ray.data.Dataset:
     """Read one or more shapefiles (path(s) or glob(s), with or
     without the ``.shp`` suffix) as a streaming Dataset of
     ``fid | wkb | src_path | <dbf attributes>``."""
-    if isinstance(paths, (str, os.PathLike)):
-        paths = [str(paths)]
-    bases: list[str] = []
-    for p in paths:
-        p = str(p)
-        matches = sorted(_glob.glob(p, recursive=True)) \
-            if any(ch in p for ch in "*?[") else [p]
-        for m in matches:
-            base = m[:-4] if m.lower().endswith((".shp", ".shx", ".dbf")) \
-                else m
-            if base not in bases:
-                bases.append(base)
-    if not bases:
-        raise FileNotFoundError(f"no shapefiles match {paths!r}")
+    bases = dict.fromkeys(
+        m[:-4] if m.lower().endswith((".shp", ".shx", ".dbf")) else m
+        for m in expand_paths(paths, "shapefiles"))
     shards = []
     for base in bases:
         n = len(_read_shx(base + ".shx"))
@@ -339,8 +326,7 @@ def read_shapefile(paths, *, drop_null_geom: bool = True,
             shards.append({"base": base, "lo": s,
                            "hi": min(s + shard_records - 1, n - 1)})
     ds = ray.data.from_items(shards).map_batches(
-        _ShpShardReader, batch_format="pyarrow", batch_size=4,
-        concurrency=concurrency)
+        _read_shp_shards, batch_format="pyarrow", batch_size=4)
     if drop_null_geom:
         import pyarrow.compute as pc
         ds = ds.map_batches(

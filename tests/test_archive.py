@@ -78,3 +78,15 @@ def test_webdataset_pairs(tmp_path, ray_session):
     assert set(df.columns) == {"key", "png", "txt"}
     assert bytes(df.iloc[2]["txt"]) == b"caption 2"
     assert bytes(df.iloc[5]["png"]) == bytes([5]) * 3
+
+
+def test_zip_rewritten_in_place(tmp_path, ray_session):
+    # a second read in the same session sees the new archive, not a
+    # handle or member list left from the first
+    p = str(tmp_path / "s.zip")
+    _make_zip(p, n=4)
+    assert len(archive.read_archive(p).to_pandas()) == 4
+    _make_zip(p, n=6, prefix="new")
+    df = archive.read_archive(p).to_pandas().sort_values("name")
+    assert list(df["name"]) == [f"new/{i:03d}.bin" for i in range(6)]
+    assert list(df["size"]) == list(range(1, 7))

@@ -345,6 +345,17 @@ def test_grouped_zscore_matches_numpy(li_ds):
                                    (ss.v.to_numpy() - mu) / sd, atol=2e-3)
 
 
+def test_grouped_zscore_null_key_is_a_group(ray_session):
+    import ray.data
+
+    t = pa.table({"g": pa.array(["a", None, "b", "a", None]),
+                  "v": pa.array([1, 2, 3, 5, 4], pa.int64()),
+                  "id": pa.array(range(5), pa.int64())})
+    got = rel.grouped_zscore(ray.data.from_arrow(t), ["g"], "v", ["id"]) \
+        .to_pandas().sort_values("id")
+    assert list(got.z_micro) == [-10 ** 6, -10 ** 6, 0, 10 ** 6, 10 ** 6]
+
+
 def test_misra_gries_sketch():
     from hand_index_ray.kernels import sketch
 

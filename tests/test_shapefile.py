@@ -103,3 +103,17 @@ def test_dbf_only_schema(tmp_path):
     attrs, _ = shp._decode_dbf_rows(buf, 1, 2)
     assert attrs["HT"] == [20, 30]
     assert attrs["W"] == [0.5, 0.75]
+
+
+def test_rewritten_in_place(tmp_path, ray_session):
+    # a second read in the same session sees the new trio
+    base = str(tmp_path / "s")
+    _fixture(base, n=4)
+    assert len(shp.read_shapefile(base).to_pandas()) == 4
+    sq = _sq(0, 0, 2)
+    shp.write_shapefile(base, [[[sq + i]] for i in range(6)],
+                        fields={"HT": [7 * i for i in range(6)]})
+    df = shp.read_shapefile(base).to_pandas().sort_values("fid")
+    assert list(df["fid"]) == list(range(1, 7))
+    assert list(df["HT"]) == [7 * i for i in range(6)]
+    assert "NAME" not in df.columns

@@ -1,5 +1,5 @@
-"""Stages that hold no state run as plain Ray tasks and give their CPUs
-back when the dataset finishes.
+"""Package map stages run as plain Ray tasks and give their CPUs back
+when the dataset finishes.
 
 Ray Data 2.49 retires a finished actor pool by dropping its actor
 handles; a handle caught in a reference cycle keeps its actor, and that
@@ -173,6 +173,84 @@ def _zonal_stats_windowed():
     assert len(out) == 4
 
 
+def _read_las():
+    import tempfile
+
+    from hand_index_ray.sources import las
+
+    with tempfile.TemporaryDirectory() as d:
+        las.write_las(f"{d}/a.las", np.arange(40), np.arange(40),
+                      np.arange(40))
+        assert las.read_las(f"{d}/a.las", shard_points=8).count() == 40
+
+
+def _read_gpkg():
+    import tempfile
+
+    from hand_index_ray.kernels import wkb
+    from hand_index_ray.sources import gpkg
+
+    blobs = wkb.encode_box(np.arange(12.0), np.arange(12.0),
+                           np.arange(12.0) + 1, np.arange(12.0) + 1)
+    with tempfile.TemporaryDirectory() as d:
+        gpkg.write_gpkg(f"{d}/a.gpkg", "t", range(1, 13), blobs)
+        assert gpkg.read_gpkg(f"{d}/a.gpkg", shard_rows=3).count() == 12
+
+
+def _read_shapefile():
+    import tempfile
+
+    from hand_index_ray.sources import shapefile
+
+    sq = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], float)
+    with tempfile.TemporaryDirectory() as d:
+        shapefile.write_shapefile(f"{d}/a", [[[sq + i]] for i in range(12)],
+                                  fields={"n": list(range(12))})
+        assert shapefile.read_shapefile(f"{d}/a",
+                                        shard_records=3).count() == 12
+
+
+def _archive_members(kind: str):
+    import io
+    import tarfile
+    import tempfile
+    import zipfile
+
+    from hand_index_ray.sources import archive
+
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/a.{kind}"
+        if kind == "zip":
+            with zipfile.ZipFile(path, "w") as z:
+                for i in range(8):
+                    z.writestr(f"{i}.bin", bytes([i]) * 4)
+        else:
+            with tarfile.open(path, "w") as t:
+                for i in range(8):
+                    info = tarfile.TarInfo(f"{i}.bin")
+                    info.size = 4
+                    t.addfile(info, io.BytesIO(bytes([i]) * 4))
+        assert archive.read_archive(path, shard_members=2).count() == 8
+
+
+def _read_archive_zip():
+    _archive_members("zip")
+
+
+def _read_archive_tar():
+    _archive_members("tar")
+
+
+def _grouped_zscore():
+    import ray.data
+
+    from hand_index_ray import relational as rel
+
+    ds = ray.data.from_items([{"g": i % 3, "v": i, "id": i}
+                              for i in range(30)])
+    assert rel.grouped_zscore(ds, ["g"], "v", ["id"]).count() == 30
+
+
 def _wait_for_cpus(ray, want: float, timeout_s: float = 5.0) -> float:
     end = time.monotonic() + timeout_s
     while True:
@@ -186,12 +264,18 @@ def _wait_for_cpus(ray, want: float, timeout_s: float = 5.0) -> float:
                                  _band_join, _embed_images, _augment_spec,
                                  _footprint_dataset, _roi_query_footprints,
                                  _roi_query_catchments, _catalog_paths,
-                                 _zonal_stats, _zonal_stats_windowed],
+                                 _zonal_stats, _zonal_stats_windowed,
+                                 _read_las, _read_gpkg, _read_shapefile,
+                                 _read_archive_zip, _read_archive_tar,
+                                 _grouped_zscore],
                          ids=["broadcast_join", "bloom_prefilter",
                               "band_join", "embed_images", "augment_spec",
                               "footprint_dataset", "roi_query_footprints",
                               "roi_query_catchments", "catalog_paths",
-                              "zonal_stats", "zonal_stats_windowed"])
+                              "zonal_stats", "zonal_stats_windowed",
+                              "read_las", "read_gpkg", "read_shapefile",
+                              "read_archive_zip", "read_archive_tar",
+                              "grouped_zscore"])
 def test_task_stage_gives_back_cpus(ray_session, run):
     import ray
 

@@ -394,6 +394,22 @@ def test_mosaic_max(ray_session):
             2, int(mo.sum()), int(mo.max()))
 
 
+@pytest.mark.parametrize("fn", ["zonal_stats", "zonal_stats_windowed"])
+def test_zonal_float_raster_refused(ray_session, fn):
+    # zone_sum is int64: a float raster of 1.5 under this 77-pixel zone
+    # once came back as 115, not 115.5
+    tri = [(1.5, 1.5), (14.5, 2.5), (7.5, 13.5)]
+    ints = ds_of([np.full((16, 16), 2, np.int32)], tile=(16, 16))
+    got = getattr(terrain, fn)(ints, [tri_wkb(tri)]).to_pandas()
+    assert list(got.zone_count) == [77] and list(got.zone_sum) == [154]
+    t = pa.table({"path": ["half.tif"],
+                  "bytes": [blob_of(np.full((16, 16), 1.5, np.float32),
+                                    tile=(16, 16), predictor=None)]})
+    with pytest.raises(Exception, match="raster 'half.tif' has float32"):
+        getattr(terrain, fn)(ray.data.from_arrow(t),
+                             [tri_wkb(tri)]).to_pandas()
+
+
 TRI_C = [(12.7, 8.3), (52.7, 14.6), (30.7, 40.5)]  # q138's window zone
 
 
