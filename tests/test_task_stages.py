@@ -9,6 +9,7 @@ session). Task maps hold nothing once the dataset is consumed.
 """
 import gc
 import time
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -210,7 +211,7 @@ def _read_shapefile():
                                         shard_records=3).count() == 12
 
 
-def _archive_members(kind: str):
+def _read_archive(kind: str):
     import io
     import tarfile
     import tempfile
@@ -231,14 +232,6 @@ def _archive_members(kind: str):
                     info.size = 4
                     t.addfile(info, io.BytesIO(bytes([i]) * 4))
         assert archive.read_archive(path, shard_members=2).count() == 8
-
-
-def _read_archive_zip():
-    _archive_members("zip")
-
-
-def _read_archive_tar():
-    _archive_members("tar")
 
 
 def _grouped_zscore():
@@ -266,7 +259,8 @@ def _wait_for_cpus(ray, want: float, timeout_s: float = 5.0) -> float:
                                  _roi_query_catchments, _catalog_paths,
                                  _zonal_stats, _zonal_stats_windowed,
                                  _read_las, _read_gpkg, _read_shapefile,
-                                 _read_archive_zip, _read_archive_tar,
+                                 partial(_read_archive, "zip"),
+                                 partial(_read_archive, "tar"),
                                  _grouped_zscore],
                          ids=["broadcast_join", "bloom_prefilter",
                               "band_join", "embed_images", "augment_spec",
